@@ -16,8 +16,10 @@ Usage::
 
 ``--smoke`` never times anything: it validates that the committed
 baseline parses, has the expected schema, and contains the fused-kernel
-rows alongside their references.  That deterministic check is what
-``make check`` runs; the full timing comparison is ``make
+rows alongside their references, and that the hot-path table in
+``docs/performance.md`` quotes the baseline's GFLOP/s figures and
+speed-ups at the table's own rounding.  That deterministic check is
+what ``make check`` runs; the full timing comparison is ``make
 bench-compare``.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -33,6 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 BASELINE = REPO_ROOT / "BENCH_hotpath.json"
+PERF_DOC = REPO_ROOT / "docs" / "performance.md"
 
 #: Rows the committed baseline must always carry: each fused kernel row
 #: next to the composed reference it is diffed against.
@@ -71,6 +75,50 @@ def validate_baseline(path: Path = BASELINE) -> List[str]:
             problems.append(f"{name}: bad gflops_per_sec {gflops!r}")
         if not isinstance(row.get("workload"), str):
             problems.append(f"{name}: missing workload description")
+    return problems
+
+
+def _quoted(value: float, cell: str) -> bool:
+    """Whether ``cell`` is ``value`` printed with ``cell``'s decimals."""
+    decimals = len(cell.partition(".")[2])
+    return f"{value:.{decimals}f}" == cell
+
+
+def check_docs_table(baseline: Dict) -> List[str]:
+    """Compare the hot-path table in ``docs/performance.md`` with the
+    baseline rows.
+
+    Each table row names its composed and fused JSON rows in backticks
+    (`` `softmax` → `softmax_fused` ``) and quotes their GFLOP/s and the
+    fused/composed speed-up; every figure must equal the baseline's
+    value rounded to the decimals the table prints.
+    """
+    rows = baseline["benchmarks"]
+    problems = []
+    checked = 0
+    for line in PERF_DOC.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip().strip("*") for c in line.strip().strip("|")
+                 .split("|")]
+        names = re.findall(r"`(\w+)`", cells[1]) if len(cells) == 5 else []
+        if len(names) != 2:
+            continue
+        composed, fused = names
+        if composed not in rows or fused not in rows:
+            problems.append(f"{PERF_DOC.name}: table row {cells[0]!r} names "
+                            f"{composed!r}/{fused!r}, not both in the JSON")
+            continue
+        base = float(rows[composed]["gflops_per_sec"])
+        fast = float(rows[fused]["gflops_per_sec"])
+        speedup = cells[4].rstrip("×")
+        for what, value, cell in (
+                (composed, base, cells[2]), (fused, fast, cells[3]),
+                (f"{fused}/{composed}", fast / base, speedup)):
+            if not _quoted(value, cell):
+                problems.append(f"{PERF_DOC.name}: {what} quoted as {cell!r}, "
+                                f"the JSON gives {value:.4g}")
+        checked += 1
+    if not checked:
+        problems.append(f"{PERF_DOC.name}: no hot-path table rows found")
     return problems
 
 
@@ -127,8 +175,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             for problem in problems:
                 print(f"baseline invalid: {problem}")
             return 1
+        stale = check_docs_table(_load(Path(args.baseline)))
+        if stale:
+            for problem in stale:
+                print(f"docs table stale: {problem}")
+            return 1
         print(f"baseline {args.baseline} structurally valid "
-              f"({len(REQUIRED_ROWS)} required rows present)")
+              f"({len(REQUIRED_ROWS)} required rows present), "
+              f"{PERF_DOC.name} table in sync")
         return 0
 
     baseline = _load(Path(args.baseline))

@@ -10,10 +10,7 @@ pipeline held together:
 * ``diff_records`` between the two seeded runs reports bitwise-zero
   headline metric deltas and an identical loss trajectory;
 * zero health alerts fired (the tiny run is healthy by construction) —
-  any alert is a regression in either the trainer or the rule engine;
-* a third run evaluates with ``eval_shards=2`` (the ``--shards 2``
-  path): headline metrics stay bitwise-equal to the serial runs, zero
-  alerts, and the record carries the per-shard timing digest.
+  any alert is a regression in either the trainer or the rule engine.
 
 Deterministic and second-scale, so ``make check`` runs it on every gate
 (``make obs-check``).
@@ -51,13 +48,12 @@ def fail(message: str):
     raise SystemExit(1)
 
 
-def one_run(runs_dir: str, eval_shards: int = 1):
+def one_run(runs_dir: str):
     pair = build_dataset(DATASET)
     split = pair.split()
     with obs.session(runs_dir=runs_dir, health_rules=RULES,
                      snapshot_seconds=0.5) as sess:
-        result = run_experiment(METHOD, pair, split,
-                                eval_shards=eval_shards)
+        result = run_experiment(METHOD, pair, split)
     if result.record_path is None:
         fail("run wrote no record")
     if sess.last_stream_path is None or not sess.last_stream_path.exists():
@@ -69,17 +65,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="obs-check-") as tmp:
         a = one_run(tmp)
         b = one_run(tmp)
-        sharded = one_run(tmp, eval_shards=2)
 
-        for result in (a, b, sharded):
+        for result in (a, b):
             health = result.health or {}
             alerts = health.get("alerts", [])
             if alerts:
                 fail(f"unexpected health alerts: {alerts}")
 
         records = obs.list_records(tmp)
-        if len(records) != 3:
-            fail(f"expected 3 run records, found {len(records)}")
+        if len(records) != 2:
+            fail(f"expected 2 run records, found {len(records)}")
         for record_path in records:
             record = obs.load_record(record_path)
             digest = record.telemetry
@@ -101,13 +96,7 @@ def main() -> int:
                 if line and not line.startswith("#") and " " not in line:
                     fail(f"{prom.name}: malformed exposition line {line!r}")
 
-        by_digest = {bool(obs.load_record(p).shards): p for p in records}
-        serial_paths = [p for p in records if p != by_digest.get(True)]
-        sharded_path = by_digest.get(True)
-        if sharded_path is None or len(serial_paths) != 2:
-            fail("expected exactly one record with a shards digest")
-
-        diff = diff_records(serial_paths[0], serial_paths[1])
+        diff = diff_records(records[0], records[1])
         if not diff.results_identical:
             print(format_diff_text(diff), file=sys.stderr)
             fail("seeded reruns produced different headline metrics")
@@ -117,23 +106,8 @@ def main() -> int:
             print(format_diff_text(diff), file=sys.stderr)
             fail("seeded reruns produced diverging loss trajectories")
 
-        # Serial vs --shards 2: the fork/merge must be invisible in the
-        # headline metrics (bitwise-zero deltas), and the sharded record
-        # must carry a well-formed per-shard timing digest.
-        shard_diff = diff_records(serial_paths[0], sharded_path)
-        if not shard_diff.results_identical:
-            print(format_diff_text(shard_diff), file=sys.stderr)
-            fail("sharded evaluation changed the headline metrics")
-        digest = obs.load_record(sharded_path).shards
-        if digest.get("count") != 2:
-            fail(f"sharded record has a bad digest {digest}")
-        workers = digest.get("workers", [])
-        if ([w.get("shard") for w in workers] != [0, 1]
-                or any(w.get("wall_seconds", -1) < 0 for w in workers)):
-            fail(f"sharded record has bad worker entries {workers}")
-
-    print("obs-check: OK - three telemetry-enabled runs (one sharded), "
-          "bitwise-equal metrics, zero health alerts")
+    print("obs-check: OK - two telemetry-enabled runs, bitwise-equal "
+          "metrics, zero health alerts")
     return 0
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from ..concurrency import shard_safe
 from ..kg.pair import KGPair, Link
 from ..obs import metrics, telemetry, trace
-from ..obs.shards import run_sharded
 from .matching import stable_matching
 from .metrics import (
     AlignmentMetrics,
@@ -24,7 +23,11 @@ from .metrics import (
     hits_at_1_from_assignment,
     metrics_from_ranks,
 )
-from .similarity import cosine_similarity_matrix, rank_of_target
+from .similarity import (
+    cosine_similarity_matrix,
+    csls_similarity_matrix,
+    rank_of_target,
+)
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,14 @@ class EvaluationResult:
         return base
 
 
+def _link_rows(embeddings1: np.ndarray, embeddings2: np.ndarray,
+               links: Sequence[Link]) -> tuple[np.ndarray, np.ndarray]:
+    """The test-source and test-target embedding rows, in link order."""
+    sources = np.array([e1 for e1, _ in links], dtype=int)
+    target_ids = np.array([e2 for _, e2 in links], dtype=int)
+    return embeddings1[sources], embeddings2[target_ids]
+
+
 def similarity_for_links(embeddings1: np.ndarray, embeddings2: np.ndarray,
                          links: Sequence[Link]) -> tuple[np.ndarray, np.ndarray]:
     """Build the (test sources × test targets) similarity matrix.
@@ -49,25 +60,18 @@ def similarity_for_links(embeddings1: np.ndarray, embeddings2: np.ndarray,
     index of row i's ground-truth counterpart.
     """
     links = list(links)
-    sources = np.array([e1 for e1, _ in links], dtype=int)
-    targets_ids = np.array([e2 for _, e2 in links], dtype=int)
-    emb_src = embeddings1[sources]
-    emb_tgt = embeddings2[targets_ids]
-    similarity = cosine_similarity_matrix(emb_src, emb_tgt)
-    targets = np.arange(len(links))
-    return similarity, targets
+    similarity = cosine_similarity_matrix(*_link_rows(embeddings1,
+                                                      embeddings2, links))
+    return similarity, np.arange(len(links))
 
 
 @shard_safe(merges=("obs.metrics.registry", "obs.tracing.tracer"),
             owns=("obs.events.log", "obs.telemetry.stream"), io=True,
-            note="io is telemetry emission through the ambient stream; "
-                 "shards > 1 forks the obs stack around a ranking pool "
-                 "and merges it on join")
+            note="io is telemetry emission through the ambient stream")
 def evaluate_embeddings(embeddings1: np.ndarray, embeddings2: np.ndarray,
                         links: Sequence[Link],
                         with_stable_matching: bool = False,
-                        csls_k: int = 0,
-                        shards: int = 1) -> EvaluationResult:
+                        csls_k: int = 0) -> EvaluationResult:
     """Evaluate entity embeddings against ground-truth links.
 
     Parameters
@@ -75,33 +79,16 @@ def evaluate_embeddings(embeddings1: np.ndarray, embeddings2: np.ndarray,
     csls_k:
         When > 0, re-rank with CSLS using ``csls_k`` nearest neighbors
         instead of plain cosine (hubness correction).
-    shards:
-        When > 1, rank contiguous row blocks on a thread pool
-        (:func:`repro.obs.shards.run_sharded`).  Metrics are
-        bitwise-identical to the serial path: per-row ranks are
-        independent of the other rows, blocks reassemble by shard
-        index, and Hits@k/MRR are computed once from the merged ranks.
-        CSLS re-ranking needs the full matrix and column statistics, so
-        ``csls_k > 0`` falls back to the serial path.
     """
     if not links:
         raise ValueError("cannot evaluate with zero links")
-    shards = max(1, int(shards))
-    if shards > 1 and csls_k == 0 and len(links) > 1:
-        return _evaluate_sharded(embeddings1, embeddings2, list(links),
-                                 with_stable_matching, shards)
+    links = list(links)
     start = time.perf_counter()
     with trace.span("evaluate/rank", links=len(links)):
-        similarity, targets = similarity_for_links(embeddings1, embeddings2,
-                                                   links)
-        if csls_k > 0:
-            from .similarity import csls_similarity_matrix
-            links = list(links)
-            sources = np.array([e1 for e1, _ in links], dtype=int)
-            targets_ids = np.array([e2 for _, e2 in links], dtype=int)
-            similarity = csls_similarity_matrix(
-                embeddings1[sources], embeddings2[targets_ids], k=csls_k
-            )
+        rows = _link_rows(embeddings1, embeddings2, links)
+        similarity = (csls_similarity_matrix(*rows, k=csls_k) if csls_k > 0
+                      else cosine_similarity_matrix(*rows))
+        targets = np.arange(len(links))
         alignment_metrics = evaluate_similarity(similarity, targets)
     ranking_seconds = time.perf_counter() - start
     metrics.histogram("eval.ranking_seconds").observe(ranking_seconds)
@@ -119,73 +106,6 @@ def evaluate_embeddings(embeddings1: np.ndarray, embeddings2: np.ndarray,
     return EvaluationResult(metrics=alignment_metrics, stable_hits_at_1=stable)
 
 
-def _evaluate_sharded(embeddings1: np.ndarray, embeddings2: np.ndarray,
-                      links: Sequence[Link], with_stable_matching: bool,
-                      shards: int) -> EvaluationResult:
-    """Thread-pool-sharded ranking, metric-identical to the serial path.
-
-    Three choices make the merged result deterministic:
-
-    * rows shard into *contiguous blocks* and each worker ranks its
-      block against all targets — ``rank_of_target`` is row-independent,
-      so the concatenated ranks (by shard index, not completion order)
-      equal the serial ranks;
-    * workers compute with raw numpy, *unmetered*; the coordinator
-      replicates the serial path's canonical instrumentation after the
-      join, so the merged counter/histogram totals match the serial run
-      exactly (workers add only shard-scoped extras such as
-      ``eval.shard_rows`` and their ``evaluate/shard_rank`` spans);
-    * Hits@k/MRR are computed once, on the coordinator, from the merged
-      rank vector — never averaged across shards.
-    """
-    start = time.perf_counter()
-    with trace.span("evaluate/rank", links=len(links)):
-        sources = np.array([e1 for e1, _ in links], dtype=int)
-        targets_ids = np.array([e2 for _, e2 in links], dtype=int)
-        a = np.asarray(embeddings1[sources], dtype=np.float64)
-        b = np.asarray(embeddings2[targets_ids], dtype=np.float64)
-        gemm_start = time.perf_counter()
-        eps = 1e-12
-        a_norm = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), eps)
-        b_norm = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), eps)
-        n, m = a_norm.shape[0], b_norm.shape[0]
-        size = -(-n // shards)
-        bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-        def rank_block(bound):
-            lo, hi = bound
-            with trace.span("evaluate/shard_rank", rows=hi - lo):
-                block = a_norm[lo:hi] @ b_norm.T
-                ranks = rank_of_target(block, np.arange(lo, hi))
-            metrics.counter("eval.shard_rows").inc(hi - lo)
-            return ranks, (block if with_stable_matching else None)
-
-        parts = run_sharded(rank_block, bounds, shards=len(bounds),
-                            label="evaluate")
-        ranks = np.concatenate([part[0] for part in parts])
-        metrics.counter("similarity.cosine.calls").inc()
-        metrics.counter("similarity.cosine.cells").inc(n * m)
-        metrics.histogram("similarity.cosine.seconds").observe(
-            time.perf_counter() - gemm_start)
-        alignment_metrics = metrics_from_ranks(ranks)
-    ranking_seconds = time.perf_counter() - start
-    metrics.histogram("eval.ranking_seconds").observe(ranking_seconds)
-    metrics.counter("eval.rankings").inc()
-    metrics.gauge("eval.candidate_set_size").set(m)
-    metrics.gauge("eval.hits_at_1").set(alignment_metrics.hits_at_1)
-    telemetry.emit("eval", hits_at_1=alignment_metrics.hits_at_1,
-                   hits_at_10=alignment_metrics.hits_at_10,
-                   mrr=alignment_metrics.mrr, seconds=ranking_seconds,
-                   shards=shards)
-    stable = None
-    if with_stable_matching:
-        with trace.span("evaluate/stable_matching"):
-            similarity = np.vstack([part[1] for part in parts])
-            assignment = stable_matching(similarity)
-            stable = hits_at_1_from_assignment(assignment, np.arange(n))
-    return EvaluationResult(metrics=alignment_metrics, stable_hits_at_1=stable)
-
-
 def evaluate_by_degree_bucket(embeddings1: np.ndarray, embeddings2: np.ndarray,
                               pair: KGPair, links: Sequence[Link],
                               buckets: Sequence[tuple[int, int]] = (
@@ -199,9 +119,6 @@ def evaluate_by_degree_bucket(embeddings1: np.ndarray, embeddings2: np.ndarray,
     similarity, targets = similarity_for_links(embeddings1, embeddings2, links)
     degrees = np.array([pair.kg1.degree(e1) for e1, _ in links])
     out: Dict[str, AlignmentMetrics] = {}
-    from .similarity import rank_of_target
-    from .metrics import metrics_from_ranks
-
     ranks = rank_of_target(similarity, targets)
     for lo, hi in buckets:
         mask = (degrees >= lo) & (degrees <= hi)

@@ -580,62 +580,6 @@ def _topk_scenario() -> Scenario:
             "bitwise-stable results under concurrency")
 
 
-def _shard_merge_scenario() -> Scenario:
-    def setup(sanitizer):
-        from ..obs import metrics
-        from ..obs.shards import ObsFork
-        parent = metrics.Registry()
-        previous = metrics.set_registry(parent)
-        # The fork installs its router via the sanctioned set_registry
-        # installer; the sanitizer then watches the router, so worker
-        # metric calls record as slot *reads* (the writes land on the
-        # child registries, which are shard-private by construction).
-        fork = ObsFork(16, label="race-check")
-        fork.__enter__()
-        return {"parent": parent, "previous": previous, "fork": fork,
-                "per_thread": 50, "last_total": 0.0}
-
-    def body(ctx, index, round_index):
-        from ..obs import metrics
-        fork = ctx["fork"]
-        shard = fork.contexts[index % len(fork.contexts)]
-        with shard:
-            counter = metrics.counter("races.shard_total")
-            for _ in range(ctx["per_thread"]):
-                counter.inc()
-        if index == 0:
-            # Peek-merge into a scratch registry while the other
-            # workers keep writing their children: merge_from locks
-            # each child to copy, so the folded total only ever grows.
-            scratch = metrics.Registry()
-            for child in fork.contexts:
-                if child.registry is not None:
-                    scratch.merge_from(child.registry, rank=child.index)
-            total = scratch.counter("races.shard_total").value()
-            if total < ctx["last_total"]:
-                return (f"merged counter total went backwards "
-                        f"({total} < {ctx['last_total']})")
-            if total < ctx["per_thread"]:
-                return "merge missed the merging thread's own writes"
-            ctx["last_total"] = total
-        return None
-
-    def teardown(ctx):
-        from ..obs import metrics
-        # Joins after the sanitizer uninstalled its wrapper; the final
-        # merged-total equality is asserted in tests/test_obs_shards.py.
-        ctx["fork"].__exit__(None, None, None)
-        metrics.set_registry(ctx["previous"])
-
-    return Scenario(
-        name="shard-merge", slots=("obs.metrics.registry",),
-        body=body, setup=setup, teardown=teardown,
-        doc="worker threads write per-shard child registries through "
-            "the fork's router while one thread repeatedly peek-merges "
-            "them into a scratch registry; the needs-merge slot itself "
-            "sees only reads")
-
-
 def default_scenarios() -> List[Scenario]:
     return [
         _attribution_scenario(),
@@ -645,7 +589,6 @@ def default_scenarios() -> List[Scenario]:
         _kernel_toggle_scenario(),
         _sig_cache_scenario(),
         _topk_scenario(),
-        _shard_merge_scenario(),
     ]
 
 

@@ -31,18 +31,11 @@ class Aligner(abc.ABC):
         """Entity embeddings for KG ``side`` (1 or 2), indexed by entity id."""
 
     def evaluate(self, links: Sequence[Link],
-                 with_stable_matching: bool = False,
-                 eval_shards: int = 1) -> EvaluationResult:
-        """Rank-based evaluation of held-out links.
-
-        ``eval_shards > 1`` ranks row blocks on a thread pool with
-        forked/merged observability; metrics are bitwise-identical to
-        the serial path (see :func:`repro.align.evaluate_embeddings`).
-        """
+                 with_stable_matching: bool = False) -> EvaluationResult:
+        """Rank-based evaluation of held-out links."""
         return evaluate_embeddings(
             self.embeddings(1), self.embeddings(2), links,
             with_stable_matching=with_stable_matching,
-            shards=eval_shards,
         )
 
 

@@ -111,10 +111,7 @@ class BertInt(Aligner):
         return out
 
     def evaluate(self, links: Sequence[Link],
-                 with_stable_matching: bool = False,
-                 eval_shards: int = 1) -> EvaluationResult:
-        # eval_shards is accepted for interface parity but unused: the
-        # interaction similarity is bespoke, not the shared cosine path.
+                 with_stable_matching: bool = False) -> EvaluationResult:
         links = list(links)
         src = np.array([a for a, _ in links], dtype=int)
         tgt = np.array([b for _, b in links], dtype=int)

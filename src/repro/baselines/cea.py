@@ -179,10 +179,7 @@ class CEA(Aligner):
         )
 
     def evaluate(self, links: Sequence[Link],
-                 with_stable_matching: bool = False,
-                 eval_shards: int = 1) -> EvaluationResult:
-        # eval_shards is accepted for interface parity but unused: CEA
-        # ranks its fused multi-channel similarity, not plain cosine.
+                 with_stable_matching: bool = False) -> EvaluationResult:
         similarity = self.fused_similarity(links)
         targets = np.arange(similarity.shape[0])
         metrics = evaluate_similarity(similarity, targets)

@@ -6,8 +6,6 @@ Usage (installed as the ``repro`` console script)::
     repro stats    --dataset dbp15k/zh_en
     repro run      --dataset dbp15k/zh_en --method sdea --stable --trace
     repro run      --dataset srprs/dbp_yg --method jape-stru --health-gate
-    repro run      --dataset srprs/dbp_yg --method jape-stru --shards 4
-    repro eval     --dataset srprs/dbp_yg --method jape-stru --shards 4
     repro obs                           # inspect the latest run record
     repro obs list                      # one row per run record
     repro obs diff                      # latest two runs, per-metric deltas
@@ -95,17 +93,6 @@ def _print_health(health: Optional[dict]) -> None:
               f"{alert.get('message', '')} (at {where})")
 
 
-def _print_shards(digest: Optional[dict]) -> None:
-    if not digest:
-        return
-    walls = "  ".join(
-        f"shard{w.get('shard', '?')}={float(w.get('wall_seconds', 0.0)):.3f}s"
-        for w in digest.get("workers", []) if isinstance(w, dict)
-    )
-    print(f"shards: {digest.get('count', '?')}"
-          + (f"  {walls}" if walls else ""))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     pair = build_dataset(args.dataset)
     split = pair.split()
@@ -151,8 +138,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             anomaly_ctx, kernel_ctx, ir_ctx:
         try:
             result = run_experiment(args.method, pair, split,
-                                    with_stable_matching=args.stable,
-                                    eval_shards=args.shards)
+                                    with_stable_matching=args.stable)
         except AnomalyError as exc:
             if not args.health_gate:
                 raise
@@ -182,7 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(run_passes(capture).to_text())
             print()
     print(f"{args.method}: {result.row()}  ({result.seconds:.1f}s)")
-    _print_shards(sess.last_shards)
     if args.profile:
         print(f"profile: {result.total_flops_estimate:.4g} FLOPs estimated, "
               f"peak {result.peak_tensor_bytes} live tensor bytes")
@@ -195,46 +180,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             and result.health.get("alerts_fail", 0):
         print("health gate: FAIL", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    """Fit once, then evaluate on a sharded pool (fork/merge obs).
-
-    The evaluation-only sibling of ``repro run --shards``: the ranking
-    fans out over ``--shards`` worker threads with forked observability,
-    and the merged metrics are bitwise-identical to a serial evaluation
-    of the same fitted model.
-    """
-    from .experiments.methods import make_method
-
-    known = available_methods()
-    if args.method not in known:
-        print(f"unknown method {args.method!r}; choose from {known}",
-              file=sys.stderr)
-        return 1
-    pair = build_dataset(args.dataset)
-    split = pair.split()
-    method = make_method(args.method)
-    print(f"dataset: {args.dataset}  method: {args.method}  "
-          f"shards: {args.shards}")
-    with obs.session(runs_dir=None) as sess:
-        fit_start = time.perf_counter()
-        method.fit(pair, split)
-        fit_seconds = time.perf_counter() - fit_start
-        eval_start = time.perf_counter()
-        result = method.evaluate(split.test,
-                                 with_stable_matching=args.stable,
-                                 eval_shards=args.shards)
-        eval_seconds = time.perf_counter() - eval_start
-        digest = sess.last_shards
-        trace_report = sess.tracer.report() if args.trace else None
-    print(f"{args.method}: {result}  "
-          f"(fit {fit_seconds:.1f}s, eval {eval_seconds:.1f}s)")
-    _print_shards(digest)
-    if trace_report is not None:
-        print()
-        print(trace_report)
     return 0
 
 
@@ -449,7 +394,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for dataset in datasets:
         pair = build_dataset(dataset)
         split = pair.split()
-        results = run_suite(methods, pair, split, shards=args.shards)
+        results = run_suite(methods, pair, split)
         print(format_results_table(results, title=f"== {dataset} =="))
         print()
     return 0
@@ -781,28 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TOML file with a top-level `rules` string "
                           "array (see `repro obs rules`); implies "
                           "--telemetry")
-    run.add_argument("--shards", type=int, default=1,
-                     help="shard the evaluation ranking over N worker "
-                          "threads with forked/merged observability; "
-                          "metrics are bitwise-identical to --shards 1")
     run.set_defaults(func=_cmd_run)
-
-    evaluate = sub.add_parser(
-        "eval",
-        help="fit one method, then evaluate on a sharded thread pool "
-             "with forked/merged observability (bitwise-identical "
-             "metrics at any shard count)",
-    )
-    evaluate.add_argument("--dataset", required=True)
-    evaluate.add_argument("--method", required=True)
-    evaluate.add_argument("--shards", type=int, default=2,
-                          help="worker threads for the evaluation ranking")
-    evaluate.add_argument("--stable", action="store_true",
-                          help="also report stable-matching Hits@1")
-    evaluate.add_argument("--trace", action="store_true",
-                          help="print the span tree (fork/join + one "
-                               "shard[i] subtree per worker)")
-    evaluate.set_defaults(func=_cmd_eval)
 
     obs_cmd = sub.add_parser(
         "obs",
@@ -870,9 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("--table", required=True, choices=sorted(_TABLES))
     table.add_argument("--methods", nargs="*", default=None)
-    table.add_argument("--shards", type=int, default=1,
-                       help="run the per-method sweep on N worker threads "
-                            "with forked/merged observability")
     table.set_defaults(func=_cmd_table)
 
     export = sub.add_parser("export", help="write OpenEA-format files")

@@ -167,16 +167,6 @@ MANIFEST: Tuple[GlobalSlot, ...] = (
             "points below",
     ),
     GlobalSlot(
-        name="obs.shards.binding",
-        module="repro.obs.shards", attr="_local",
-        classification=THREAD_LOCAL,
-        installers=("ShardContext.__enter__", "ShardContext.__exit__"),
-        doc="per-thread shard binding consulted by the router proxies a "
-            "fork installs in the four obs slots above; binding a thread "
-            "routes its metrics/spans/events/telemetry to that shard's "
-            "child instruments",
-    ),
-    GlobalSlot(
         name="obs.attribution.name_cache",
         module="repro.obs.attribution", attr="_NAME_CACHE",
         classification=SYNCHRONIZED,

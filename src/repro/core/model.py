@@ -167,18 +167,12 @@ class SDEA:
         return base
 
     def evaluate(self, links: Sequence[Link],
-                 with_stable_matching: bool = False,
-                 eval_shards: int = 1) -> EvaluationResult:
-        """Hits@1/Hits@10/MRR on held-out links (optionally + stable H@1).
-
-        ``eval_shards > 1`` shards the ranking over a thread pool with
-        forked/merged observability (bitwise-identical metrics).
-        """
+                 with_stable_matching: bool = False) -> EvaluationResult:
+        """Hits@1/Hits@10/MRR on held-out links (optionally + stable H@1)."""
         emb1 = self.embeddings(1)
         emb2 = self.embeddings(2)
         return evaluate_embeddings(emb1, emb2, links,
-                                   with_stable_matching=with_stable_matching,
-                                   shards=eval_shards)
+                                   with_stable_matching=with_stable_matching)
 
     def attribute_embeddings(self, side: int) -> np.ndarray:
         """The frozen attribute embeddings H_a (for ablations/diagnostics)."""

@@ -20,8 +20,6 @@ from ..align.evaluator import EvaluationResult
 from ..concurrency import shard_safe
 from ..kg.pair import AlignmentSplit, KGPair
 from ..obs import events, trace
-from ..obs import metrics as metrics_mod
-from ..obs import shards as shards_mod
 from ..obs import telemetry as telemetry_mod
 from ..obs.runrecord import RunRecord, _slug, write_record
 from ..obs.session import active_session
@@ -123,11 +121,6 @@ def _open_stream(session, method, method_name: str, dataset: str):
     if (session is None or not getattr(session, "telemetry", False)
             or session.runs_dir is None):
         return None, None
-    if shards_mod.current_shard() is not None:
-        # Inside a sharded suite the fork already multiplexes telemetry
-        # through per-worker fragments; a second stream per run would
-        # fight over the global stream slot across threads.
-        return None, None
     from ..obs.compare import baseline_metrics
     from ..obs.health import DEFAULT_RULES, HealthEngine, parse_rules
 
@@ -174,8 +167,7 @@ def _note_anomaly(engine, exc) -> bool:
 
 
 def _write_run_record(result: ExperimentResult, method,
-                      stream=None, engine=None,
-                      shards=None) -> Optional[Path]:
+                      stream=None, engine=None) -> Optional[Path]:
     """Persist a run record when an obs session with a runs_dir is active.
 
     With op profiling active the record embeds the profiler digest
@@ -184,14 +176,7 @@ def _write_run_record(result: ExperimentResult, method,
     and pointed to from ``profile.chrome_trace``.  With telemetry active
     the record embeds the stream digest (event/snapshot counts + the
     health summary) and the closed stream is renamed to
-    ``<record-stem>-stream.jsonl`` next to the record.  ``shards`` is
-    the fork's per-shard timing digest when the run evaluated sharded.
-
-    Metrics/spans snapshot the *ambient* registry/tracer rather than the
-    session's: they are the same objects in a serial run, but inside a
-    sharded suite the ambient slots route to the worker's own shard, so
-    each method's record captures its shard-local view instead of a
-    mid-merge racy read of the parent.
+    ``<record-stem>-stream.jsonl`` next to the record.
     """
     session = active_session()
     if session is None or session.runs_dir is None:
@@ -222,11 +207,10 @@ def _write_run_record(result: ExperimentResult, method,
             "eval_seconds": result.eval_seconds,
             "total_seconds": result.seconds,
         },
-        metrics=metrics_mod.get_registry().snapshot(),
-        spans=trace.get_tracer().to_dict(),
+        metrics=session.registry.snapshot(),
+        spans=session.tracer.to_dict(),
         profile=profiler.summary(top=10) if profiler is not None else {},
         telemetry=telemetry_digest,
-        shards=dict(shards) if shards else {},
     )
     path = write_record(record, session.runs_dir)
     # The record file name (dedup counter) is only known after
@@ -237,7 +221,7 @@ def _write_run_record(result: ExperimentResult, method,
         from ..obs.chrometrace import build_chrome_trace, write_chrome_trace
         trace_path = path.with_name(path.stem + "-trace.json")
         write_chrome_trace(trace_path, build_chrome_trace(
-            span_tree=trace.get_tracer().to_dict(),
+            span_tree=session.tracer.to_dict(),
             op_events=profiler.trace_events(),
             metadata={"run_id": record.run_id, "method": record.method,
                       "dataset": record.dataset},
@@ -266,18 +250,11 @@ def _write_run_record(result: ExperimentResult, method,
             owns=("obs.telemetry.stream", "obs.events.log"),
             mutates=("pair",), io=True,
             note="installs a per-run telemetry stream; caches the "
-                 "split on the pair; eval_shards > 1 forks/merges the "
-                 "obs stack around the ranking pool")
+                 "split on the pair")
 def run_experiment(method_name: str, pair: KGPair,
                    split: Optional[AlignmentSplit] = None,
-                   with_stable_matching: bool = False,
-                   eval_shards: int = 1) -> ExperimentResult:
+                   with_stable_matching: bool = False) -> ExperimentResult:
     """Fit ``method_name`` on the pair's train split; evaluate on test.
-
-    ``eval_shards > 1`` shards the evaluation ranking over a thread pool
-    (:func:`repro.obs.shards.run_sharded`); metrics and merged
-    counter/histogram totals are bitwise-identical to the serial path,
-    and the run record gains a per-shard timing digest.
 
     Inside ``obs.session(telemetry=True)`` (or with health rules armed)
     the whole run streams live events — ``run_start``, per-epoch
@@ -287,7 +264,9 @@ def run_experiment(method_name: str, pair: KGPair,
     :class:`~repro.analysis.anomaly.AnomalyError`, the anomaly is
     converted into a ``fail`` alert (keeping the op's creation-stack
     provenance) before the exception propagates, so ``repro run
-    --health-gate`` reports *where* the NaN was born.
+    --health-gate`` reports *where* the NaN was born.  On any early exit,
+    ``KeyboardInterrupt`` included, the stream is still closed with its
+    ``stream_end`` marker, so ``repro obs watch`` returns.
     """
     split = split or pair.split()
     method = make_method(method_name)
@@ -313,21 +292,16 @@ def run_experiment(method_name: str, pair: KGPair,
                 fit_seconds = time.perf_counter() - fit_start
                 eval_start = time.perf_counter()
                 telemetry_mod.emit("phase", name="evaluate")
-                if session is not None:
-                    session.last_shards = None
                 with trace.span("evaluate"):
                     evaluation = method.evaluate(
                         split.test,
                         with_stable_matching=with_stable_matching,
-                        eval_shards=eval_shards,
                     )
                 eval_seconds = time.perf_counter() - eval_start
-                shards_digest = (session.last_shards
-                                 if session is not None else None)
         finally:
             if stream is not None:
                 telemetry_mod.set_stream(previous_stream)
-    except Exception as exc:
+    except BaseException as exc:
         _note_anomaly(engine, exc)
         if stream is not None:
             stream.close()
@@ -357,8 +331,7 @@ def run_experiment(method_name: str, pair: KGPair,
     if engine is not None:
         result.health = engine.summary()
     result.record_path = _write_run_record(result, method,
-                                           stream=stream, engine=engine,
-                                           shards=shards_digest)
+                                           stream=stream, engine=engine)
     if session is not None:
         if stream is not None:
             session.last_stream_path = stream.path
@@ -373,34 +346,13 @@ def run_experiment(method_name: str, pair: KGPair,
             owns=("obs.telemetry.stream", "obs.events.log"),
             mutates=("pair",), io=True,
             note="per-method sweep; each method run is itself a "
-                 "shard-safe entry; shards > 1 runs methods on a "
-                 "forked/merged obs pool")
+                 "shard-safe entry")
 def run_suite(method_names: Sequence[str], pair: KGPair,
               split: Optional[AlignmentSplit] = None,
-              with_stable_matching: bool = False,
-              shards: int = 1,
-              eval_shards: int = 1) -> List[ExperimentResult]:
-    """Run several methods on one dataset (one table column group).
-
-    ``shards > 1`` runs the per-method sweep itself on a sharded thread
-    pool — method ``i`` lands on shard ``i % shards``, results keep the
-    ``method_names`` order, and each worker's metrics/spans/events fold
-    back into the ambient stack on join with shard attribution.  Per-run
-    live telemetry streams are skipped inside the pool (the fork's
-    per-worker fragments multiplex instead); ``eval_shards`` additionally
-    shards each method's evaluation ranking (nested forks reuse the
-    outer routers).
-    """
+              with_stable_matching: bool = False) -> List[ExperimentResult]:
+    """Run several methods on one dataset (one table column group)."""
     split = split or pair.split()
-    names = list(method_names)
-    if shards <= 1:
-        return [
-            run_experiment(name, pair, split, with_stable_matching,
-                           eval_shards=eval_shards)
-            for name in names
-        ]
-    return shards_mod.run_sharded(
-        lambda name: run_experiment(name, pair, split, with_stable_matching,
-                                    eval_shards=eval_shards),
-        names, shards=shards, label="suite",
-    )
+    return [
+        run_experiment(name, pair, split, with_stable_matching)
+        for name in method_names
+    ]

@@ -26,11 +26,9 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 #: so a future float32/mixed-precision backend is a one-line switch.
 DEFAULT_DTYPE = np.float64
 
-# Gradient recording is per-thread (manifest slot ``nn.grad_mode``).
-# It used to be a process-global flag, which meant an evaluation shard's
-# no_grad() window silently disabled autograd for a training step running
-# on another thread — exactly the class of bug the shard-safety effect
-# analysis exists to catch.
+# Gradient recording is per-thread (manifest slot ``nn.grad_mode``), so
+# a no_grad() window on one thread cannot disable autograd for a training
+# step running on another.
 _grad_state = threading.local()
 
 

@@ -22,9 +22,6 @@ Four parts (see ``docs/observability.md``):
   evaluated online against the stream; ``repro run --health-gate``.
 * :mod:`repro.obs.compare` — cross-run analytics over ``runs/``
   (``repro obs list / diff / compare / prune``).
-* :mod:`repro.obs.shards` — fork/merge observability for worker pools:
-  per-shard child registries/tracers/event logs/stream fragments with a
-  deterministic merge-on-join (``repro run --shards N``).
 
 Everything is a no-op until a :func:`session` is entered (or a live
 registry/tracer/event log is installed explicitly), so instrumented hot
@@ -104,18 +101,6 @@ from .tracing import (
     use_tracer,
 )
 
-# Imported last: repro.obs.shards builds on every sibling above
-# (metrics/tracing/events/telemetry/session).
-from . import shards
-from .shards import (
-    ObsFork,
-    ShardContext,
-    current_shard,
-    fork_observability,
-    merge_on_join,
-    run_sharded,
-)
-
 __all__ = [
     "metrics", "trace", "events", "telemetry", "health", "compare",
     "TelemetryStream", "NullStream", "get_stream", "set_stream",
@@ -132,8 +117,6 @@ __all__ = [
     "ObsSession", "session", "active_session", "is_active",
     "build_chrome_trace", "record_to_chrome_trace", "span_tree_to_events",
     "write_chrome_trace",
-    "shards", "ObsFork", "ShardContext", "current_shard",
-    "fork_observability", "merge_on_join", "run_sharded",
 ]
 
 # NOTE: repro.obs.profile (OpProfiler, active_profiler) is imported

@@ -39,10 +39,6 @@ _PID = 1
 _SPAN_TID = 0
 _FWD_TID = 1
 _BWD_TID = 2
-# Sharded-run span subtrees (nodes carrying a ``shard`` attr, grafted by
-# repro.obs.shards) each get their own lane: tid = base + shard index.
-# The base leaves headroom for future fixed lanes below it.
-_SHARD_TID_BASE = 16
 
 
 def _thread_meta(tid: int, name: str) -> Dict[str, object]:
@@ -63,28 +59,18 @@ def span_tree_to_events(tree: Dict[str, object],
     start; a child whose summed wall time exceeds the remaining parent
     budget still gets its full duration (aggregation can make siblings
     overlap — durations win over layout).
-
-    A node whose attrs carry an integer ``shard`` (the grafted
-    ``shard[i]`` roots from :mod:`repro.obs.shards`) moves its whole
-    subtree to lane ``_SHARD_TID_BASE + shard``, so every shard renders
-    as its own named lane while the ``fork[...]`` span stays visible in
-    the spans lane.
     """
     events: List[Dict[str, object]] = []
 
-    def walk(node: Dict[str, object], begin_us: float, lane: int) -> None:
-        attrs = node.get("attrs")
-        if isinstance(attrs, dict):
-            shard = attrs.get("shard")
-            if isinstance(shard, int) and not isinstance(shard, bool):
-                lane = _SHARD_TID_BASE + shard
+    def walk(node: Dict[str, object], begin_us: float) -> None:
         wall_us = float(node.get("wall_seconds", 0.0)) * 1e6
         event: Dict[str, object] = {
             "ph": "X", "name": str(node.get("name", "?")),
             "cat": "span", "ts": begin_us, "dur": wall_us,
-            "pid": pid, "tid": lane,
+            "pid": pid, "tid": tid,
             "args": {"calls": int(node.get("calls", 0))},
         }
+        attrs = node.get("attrs")
         if attrs:
             event["args"]["attrs"] = attrs
         if node.get("errors"):
@@ -92,10 +78,10 @@ def span_tree_to_events(tree: Dict[str, object],
         events.append(event)
         cursor = begin_us
         for child in node.get("children", []):  # type: ignore[union-attr]
-            walk(child, cursor, lane)
+            walk(child, cursor)
             cursor += float(child.get("wall_seconds", 0.0)) * 1e6
 
-    walk(tree, start_us, tid)
+    walk(tree, start_us)
     return events
 
 
@@ -110,15 +96,7 @@ def build_chrome_trace(
         events.append(_thread_meta(_FWD_TID, "ops/forward"))
         events.append(_thread_meta(_BWD_TID, "ops/backward"))
     if span_tree:
-        span_events = span_tree_to_events(span_tree)
-        shard_tids = sorted({
-            event["tid"] for event in span_events
-            if isinstance(event.get("tid"), int)
-            and event["tid"] >= _SHARD_TID_BASE
-        })
-        for tid in shard_tids:
-            events.append(_thread_meta(tid, f"shard[{tid - _SHARD_TID_BASE}]"))
-        events.extend(span_events)
+        events.extend(span_tree_to_events(span_tree))
     if op_events:
         events.extend(op_events)
     # Stable sort keeps metadata (ts 0) ahead of same-ts X events and

@@ -112,18 +112,6 @@ class EventLog:
         for sink in self.sinks:
             sink(record)
 
-    def append_raw(self, record: Dict[str, object]) -> None:
-        """Dispatch an already-built record, preserving its ``ts``.
-
-        The shard join uses this to multiplex buffered per-worker
-        records back into the coordinator's log with their original
-        timestamps (a fresh :meth:`log` call would re-stamp them).
-        """
-        if not self.sinks:
-            return
-        for sink in self.sinks:
-            sink(record)
-
     def debug(self, event: str, **fields) -> None:
         self.log(DEBUG, event, **fields)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -64,14 +63,11 @@ def _label_dict(key: LabelKey) -> Dict[str, str]:
 class _Instrument:
     """Shared naming/label bookkeeping for all instrument kinds.
 
-    Every update takes the per-instrument lock.  Updates used to be
-    lock-free on the theory that they are single dict writes the GIL
-    keeps coherent — but ``inc``/``observe`` are read-modify-write
-    sequences, and the shard-safety race check demonstrated lost
-    increments once two threads hammer the same series.  An uncontended
-    ``threading.Lock`` costs ~100 ns, invisible at per-batch/per-step
-    update granularity (the obs overhead guards still pass), and makes
-    every instrument safe to share across shard workers.
+    Every update takes the per-instrument lock: ``inc``/``observe`` are
+    read-modify-write sequences, so two threads updating the same series
+    would otherwise lose increments (the race check demonstrates it).
+    An uncontended ``threading.Lock`` costs ~100 ns, invisible at
+    per-batch/per-step update granularity.
     """
 
     kind = "instrument"
@@ -108,19 +104,6 @@ class Counter(_Instrument):
     def series_labels(self) -> List[Dict[str, str]]:
         return [_label_dict(k) for k in self._values]
 
-    def merge_from(self, other: "Counter") -> None:
-        """Fold ``other``'s series into this counter (per-series sum).
-
-        Integer-valued totals merge exactly (float addition is exact for
-        integers below 2**53); the operation is associative and
-        commutative, so shard join order never changes the result.
-        """
-        with other._update_lock:
-            values = dict(other._values)
-        with self._update_lock:
-            for key, value in values.items():
-                self._values[key] = self._values.get(key, 0.0) + value
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
@@ -140,20 +123,12 @@ class Gauge(_Instrument):
         super().__init__(name, help)
         self._values: Dict[LabelKey, float] = {}
         self._minmax: Dict[LabelKey, Tuple[float, float]] = {}
-        # Per-series (monotonic timestamp, merge rank) of the write that
-        # produced the current value.  Local writes stamp rank -1; the
-        # shard merge (:meth:`merge_from`) stamps the joining shard's
-        # index, so equal-timestamp conflicts between shards resolve
-        # deterministically.  Never serialized (timestamps are not
-        # reproducible across runs) — :meth:`snapshot` skips it.
-        self._stamps: Dict[LabelKey, Tuple[float, int]] = {}
 
     def set(self, value: float, **labels) -> None:
         key = _label_key(labels)
         value = float(value)
         with self._update_lock:
             self._values[key] = value
-            self._stamps[key] = (time.monotonic(), -1)
             lo, hi = self._minmax.get(key, (value, value))
             self._minmax[key] = (min(lo, value), max(hi, value))
 
@@ -162,34 +137,6 @@ class Gauge(_Instrument):
 
     def series_labels(self) -> List[Dict[str, str]]:
         return [_label_dict(k) for k in self._values]
-
-    def merge_from(self, other: "Gauge", rank: int = 0) -> None:
-        """Fold ``other``'s series into this gauge.
-
-        A gauge is "last value written", so the merged value per series
-        is the write with the greatest ``(timestamp, rank)`` — ``rank``
-        is the joining shard's index, breaking the (clock-resolution)
-        tie between shards that wrote at the same instant in favour of
-        the higher shard id.  Min/max envelopes union exactly.
-        """
-        with other._update_lock:
-            values = dict(other._values)
-            minmax = dict(other._minmax)
-            stamps = dict(other._stamps)
-        with self._update_lock:
-            for key, value in values.items():
-                candidate = (stamps.get(key, (-math.inf, -1))[0], rank)
-                incumbent = self._stamps.get(key)
-                if (key not in self._values or incumbent is None
-                        or candidate >= incumbent):
-                    self._values[key] = value
-                    self._stamps[key] = candidate
-                lo, hi = minmax.get(key, (value, value))
-                if key in self._minmax:
-                    mine_lo, mine_hi = self._minmax[key]
-                    self._minmax[key] = (min(mine_lo, lo), max(mine_hi, hi))
-                else:
-                    self._minmax[key] = (lo, hi)
 
     def snapshot(self) -> Dict[str, object]:
         out = []
@@ -296,39 +243,6 @@ class Histogram(_Instrument):
     def series_labels(self) -> List[Dict[str, str]]:
         return [_label_dict(k) for k in self._series]
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold ``other``'s series into this histogram, bucket-wise.
-
-        The merge is *exact*, not approximate: per-bucket counts and the
-        total count are integer sums, min/max combine exactly, and the
-        conservative percentiles are recomputed from the merged bucket
-        counts on demand — they are derived state, never merged
-        directly.  Requires identical bucket bounds (mixed-bound merges
-        would need re-binning, which loses exactness).
-        """
-        if tuple(other.buckets) != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: bucket bounds "
-                f"differ ({len(other.buckets)} vs {len(self.buckets)} "
-                "bounds or unequal values)"
-            )
-        with other._update_lock:
-            copied = {
-                key: (list(s.counts), s.count, s.sum, s.min, s.max)
-                for key, s in other._series.items()
-            }
-        with self._update_lock:
-            for key, (counts, count, total, lo, hi) in copied.items():
-                series = self._get_series(_label_dict(key))
-                for idx, bucket_count in enumerate(counts):
-                    series.counts[idx] += bucket_count
-                series.count += count
-                series.sum += total
-                if lo < series.min:
-                    series.min = lo
-                if hi > series.max:
-                    series.max = hi
-
     def snapshot(self) -> Dict[str, object]:
         out = []
         for key, series in sorted(self._series.items()):
@@ -403,33 +317,6 @@ class Registry:
     def reset(self) -> None:
         with self._lock:
             self._instruments.clear()
-
-    def merge_from(self, other: "Registry", rank: int = 0) -> None:
-        """Fold every instrument of ``other`` into this registry.
-
-        The shard-join merge: counters sum, histograms merge bucket-wise
-        (exact), gauges resolve by the ``(timestamp, rank)`` tiebreak —
-        ``rank`` is the joining shard's index.  Instruments missing from
-        this registry are created with the source's help text (and
-        bucket bounds, for histograms).  Safe against concurrent writers
-        on either side: each instrument merge holds both update locks
-        (source first, destination second — join merges only ever fold
-        child into parent, so the ordering cannot cycle).
-        """
-        if not self.enabled or not other.enabled:
-            return
-        with other._lock:
-            items = sorted(other._instruments.items())
-        for name, instrument in items:
-            if isinstance(instrument, Counter):
-                self.counter(name, instrument.help).merge_from(instrument)
-            elif isinstance(instrument, Gauge):
-                self.gauge(name, instrument.help).merge_from(
-                    instrument, rank=rank)
-            elif isinstance(instrument, Histogram):
-                self.histogram(
-                    name, instrument.help, buckets=instrument.buckets,
-                ).merge_from(instrument)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-able dump of every instrument (run-record ``metrics``)."""

@@ -31,8 +31,8 @@ __all__ = [
 DEFAULT_RUNS_DIR = "runs"
 # v1: original record shape.  v2: adds the ``telemetry`` digest
 # (live-stream pointer + event counts + health-alert summary).  v3 (this
-# version): adds the ``shards`` digest (shard count + per-shard wall
-# seconds) for runs that evaluated on a forked obs pool.  Readers must
+# version): some v3 records carry a ``shards`` digest, which
+# ``RunRecord.from_dict`` drops like any unknown key.  Readers must
 # warn — not crash — on versions above their own (see
 # repro.obs.compare.summarize_record).
 SCHEMA_VERSION = 3
@@ -89,10 +89,6 @@ class RunRecord:
     # ``*-stream.jsonl`` name, event/snapshot counts, and the health
     # engine's alert summary.
     telemetry: Dict[str, object] = dataclasses.field(default_factory=dict)
-    # Shard digest when the run evaluated on a forked obs pool
-    # (``--shards N``): ``{"count": n, "workers": [{"shard": i,
-    # "wall_seconds": ...}, ...]}``; empty for serial runs.
-    shards: Dict[str, object] = dataclasses.field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     @property
@@ -205,14 +201,6 @@ def format_record(record: RunRecord, with_spans: bool = True,
     if record.config:
         lines.append("config " + json.dumps(record.config, sort_keys=True,
                                             default=str))
-    if record.shards:
-        workers = record.shards.get("workers", [])
-        walls = "  ".join(
-            f"shard{w.get('shard', '?')}={float(w.get('wall_seconds', 0.0)):.3f}s"
-            for w in workers if isinstance(w, dict)
-        )
-        lines.append(f"shards {record.shards.get('count', len(workers))}"
-                     + (f"  {walls}" if walls else ""))
     if with_metrics and record.metrics:
         lines.append("")
         lines.append("metrics:")

@@ -80,11 +80,6 @@ class ObsSession:
         #: path and the health digest of the most recent run.
         self.last_stream_path = None
         self.last_health: Optional[dict] = None
-        #: Set by the shard join (:meth:`repro.obs.shards.ObsFork.merge`)
-        #: on the coordinating thread: ``{"count": n, "workers": [...]}``
-        #: with per-shard wall seconds.  The runner copies it into the
-        #: run record's ``shards`` digest.
-        self.last_shards: Optional[dict] = None
         self._previous = None
 
     def __enter__(self) -> "ObsSession":

@@ -132,18 +132,6 @@ class TelemetryStream:
         self._fh.flush()
         self.events_written += 1
 
-    def append_raw(self, record: Dict[str, object]) -> None:
-        """Append an already-enveloped record, preserving its ``ts``.
-
-        The shard join multiplexes per-worker stream files back into the
-        coordinator stream with their original timestamps; re-emitting
-        through :meth:`emit` would re-stamp them (and re-run the health
-        engine on events it already saw on the worker side).
-        """
-        if self._closed:
-            return
-        self._write(record)
-
     def _write_alert(self, alert) -> None:
         record: Dict[str, object] = {
             "ts": time.time(),
@@ -239,9 +227,6 @@ class NullStream:
     engine = None
 
     def emit(self, event: str, **fields) -> None:
-        pass
-
-    def append_raw(self, record: Dict[str, object]) -> None:
         pass
 
     def snapshot(self) -> None:

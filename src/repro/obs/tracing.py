@@ -59,24 +59,6 @@ class SpanNode:
             node = self.children[name] = SpanNode(name)
         return node
 
-    def merge_from(self, other: "SpanNode") -> None:
-        """Aggregate ``other``'s subtree into this node.
-
-        The same aggregation rule repeated spans already follow: calls,
-        errors, wall time and allocation deltas sum; attributes are
-        last-writer (``other`` wins, matching ``span(**attrs)``);
-        children merge recursively by name.  Used by the shard join to
-        graft per-worker trees under the forking span.
-        """
-        self.calls += other.calls
-        self.errors += other.errors
-        self.wall += other.wall
-        self.alloc_bytes += other.alloc_bytes
-        if other.attrs:
-            self.attrs.update(other.attrs)
-        for name, theirs in other.children.items():
-            self.child(name).merge_from(theirs)
-
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "name": self.name,

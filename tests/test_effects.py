@@ -71,7 +71,6 @@ class TestSelfGate:
             "repro.core.trainer.train_relation_model",
             "repro.experiments.runner.run_experiment",
             "repro.experiments.runner.run_suite",
-            "repro.obs.shards.run_sharded",
         }
 
     def test_topk_entry_effects_are_pure_modulo_metrics(self):

@@ -65,6 +65,23 @@ class TestRunner:
         results = run_suite(["jape-stru", "gcn"], tiny_pair, tiny_split)
         assert [r.method for r in results] == ["jape-stru", "gcn"]
 
+    def test_interrupted_run_still_ends_its_stream(self, tiny_pair,
+                                                   tiny_split, tmp_path,
+                                                   monkeypatch):
+        from repro import obs
+        from repro.obs.telemetry import read_stream
+
+        def interrupt(self, pair, split=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(type(make_method("jape-stru")), "fit", interrupt)
+        with obs.session(runs_dir=str(tmp_path), telemetry=True) as sess:
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment("jape-stru", tiny_pair, tiny_split)
+        (stream,) = tmp_path.glob("live-*-stream.jsonl")
+        assert sess.last_stream_path == stream
+        assert read_stream(stream)[-1]["event"] == "stream_end"
+
 
 class TestTables:
     def _results(self):

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro import obs
 from repro.obs import events as events_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import tracing as tracing_mod
+from repro.obs.compare import diff_records, list_runs
 from repro.obs.events import INFO, WARN, EventLog, JsonlSink, StderrSink
 from repro.obs.metrics import (
     Counter,
@@ -369,6 +371,39 @@ class TestRunRecord:
         stamp = version_stamp()
         assert stamp["repro"] == repro.__version__
         assert "python" in stamp
+
+    def test_v2_records_without_shards_still_load(self):
+        data = self._record().to_dict()
+        data["schema_version"] = 2
+        data["unknown_future_field"] = {"x": 1}  # must be ignored, not fatal
+        loaded = RunRecord.from_dict(data)
+        assert loaded.schema_version == 2
+        assert loaded.results == {"H@1": 99.9}
+
+    def test_v3_records_with_a_shards_digest_still_load(self, tmp_path):
+        # The shape earlier schema-3 writers gave records of runs that
+        # evaluated on a thread pool.
+        data = self._record().to_dict()
+        data["shards"] = {"count": 2, "workers": [
+            {"shard": 0, "wall_seconds": 0.26},
+            {"shard": 1, "wall_seconds": 0.24}]}
+        old = tmp_path / f"{data['run_id']}.json"
+        old.write_text(json.dumps(data, indent=2, sort_keys=True))
+        fresh = self._record()
+        fresh.timestamp += 60
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_record(old)
+            text = format_record(loaded)
+            new = write_record(fresh, tmp_path)
+            runs = list_runs(tmp_path)
+            diff = diff_records(old, new)
+        assert loaded.schema_version == 3
+        assert "fit_seconds=1.500s" in text
+        assert [run.path for run in runs] == [old, new]
+        assert not any(run.warnings for run in runs)
+        assert not diff.warnings
+        assert diff.results_identical
 
 
 class TestSession:

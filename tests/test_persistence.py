@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.align import csls_similarity_matrix, evaluate_embeddings
+from repro.align import (
+    csls_similarity_matrix,
+    evaluate_embeddings,
+    evaluate_similarity,
+)
 from repro.core import SDEA, SDEAConfig
+from repro.obs.metrics import Registry, use_registry
 from repro.text import WordPieceTokenizer
 
 
@@ -111,6 +116,15 @@ class TestCSLS:
 
     def test_evaluator_csls_flag(self, rng):
         emb = rng.normal(size=(12, 5))
+        noisy = emb + rng.normal(scale=0.8, size=emb.shape)
         links = [(i, i) for i in range(12)]
-        result = evaluate_embeddings(emb, emb, links, csls_k=3)
+        with use_registry(Registry()) as registry:
+            calls = registry.counter("similarity.cosine.calls")
+            result = evaluate_embeddings(emb, emb, links, csls_k=3)
+            assert calls.value() == 1  # one cosine matrix per evaluation
+            noisy_result = evaluate_embeddings(emb, noisy, links, csls_k=3)
+            assert calls.value() == 2
         assert result.metrics.hits_at_1 == 1.0
+        expected = evaluate_similarity(csls_similarity_matrix(emb, noisy, k=3),
+                                       np.arange(12))
+        assert noisy_result.metrics == expected

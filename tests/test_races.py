@@ -202,7 +202,7 @@ class TestDefaultHarness:
         expected = {
             "attribution-names", "metrics-updates", "forward-hooks",
             "grad-mode-isolation", "kernel-toggle", "shape-sig-cache",
-            "topk-shards", "shard-merge",
+            "topk-shards",
         }
         assert set(scenario_names()) == expected
 
@@ -211,7 +211,7 @@ class TestDefaultHarness:
         messages = "\n".join(f.format() for f in report.findings)
         assert not report.findings, "\n" + messages
         assert report.accesses > 100, "sanitizer recorded almost nothing"
-        assert len(report.scenarios) == 8
+        assert len(report.scenarios) == 7
 
     def test_report_json_round_trips(self):
         import json
@@ -220,12 +220,12 @@ class TestDefaultHarness:
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["counts"] == {}
         assert payload["stats"]["threads"] == 2
-        assert len(payload["stats"]["scenarios"]) == 8
+        assert len(payload["stats"]["scenarios"]) == 7
 
     def test_report_text_format(self):
         report = race_check(threads=2, rounds=1)
         text = report.to_text()
-        assert text.splitlines()[0].startswith("race-check: 8 scenario(s)")
+        assert text.splitlines()[0].startswith("race-check: 7 scenario(s)")
         assert text.rstrip().endswith("0 findings")
 
     def test_select_ignore_filter_dynamic_findings(self):
