@@ -2,7 +2,7 @@
 
 .PHONY: install test lint shapecheck check bench bench-hot bench-hot-smoke \
 	bench-compare bench-compare-smoke report obs-demo obs-check \
-	ir-check effects-check profile-demo clean
+	ir-check profile-demo clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -21,10 +21,9 @@ shapecheck:
 
 # The full gate: lint clean, shapes clean, hot-path bench smoke,
 # committed bench baseline structurally valid, telemetry pipeline
-# end-to-end, IR capture/replay verified, shard-safety effects + race
-# sanitizer clean, tests.
-check: lint shapecheck bench-hot-smoke bench-compare-smoke obs-check ir-check effects-check test
-	@echo "check: OK - all gates green (lint, shape, obs, ir, effects)"
+# end-to-end, IR capture/replay verified, tests.
+check: lint shapecheck bench-hot-smoke bench-compare-smoke obs-check ir-check test
+	@echo "check: OK - all gates green (lint, shape, bench, obs, ir, tests)"
 
 # Tiny instrumented run: prints the span report and writes a run record
 # under runs/ (inspect it with `python -m repro.cli obs`).
@@ -45,13 +44,6 @@ obs-check:
 # replay against eager (part of `make check`).
 ir-check:
 	python benchmarks/ir_check.py
-
-# Shard-safety gate: whole-package effect inference cross-checked
-# against the concurrency manifest (zero C-findings) plus the dynamic
-# race sanitizer at 8 threads (zero D-findings) — part of `make check`
-# (docs/concurrency.md).
-effects-check:
-	python benchmarks/effects_check.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -13,7 +13,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..concurrency import shard_safe
 from ..kg.pair import KGPair, Link
 from ..obs import metrics, telemetry, trace
 from .matching import stable_matching
@@ -65,9 +64,6 @@ def similarity_for_links(embeddings1: np.ndarray, embeddings2: np.ndarray,
     return similarity, np.arange(len(links))
 
 
-@shard_safe(merges=("obs.metrics.registry", "obs.tracing.tracer"),
-            owns=("obs.events.log", "obs.telemetry.stream"), io=True,
-            note="io is telemetry emission through the ambient stream")
 def evaluate_embeddings(embeddings1: np.ndarray, embeddings2: np.ndarray,
                         links: Sequence[Link],
                         with_stable_matching: bool = False,

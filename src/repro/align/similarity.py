@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 
-from ..concurrency import shard_safe
 from ..obs import metrics
 
 
@@ -87,8 +86,6 @@ def topk_indices(similarity: np.ndarray, k: int) -> np.ndarray:
 DEFAULT_CHUNK_BUDGET_BYTES = 64 << 20
 
 
-@shard_safe(merges=("obs.metrics.registry",),
-            note="pure over its inputs; row blocks shard independently")
 def chunked_cosine_topk(a: np.ndarray, b: np.ndarray, k: int,
                         memory_budget_bytes: int = DEFAULT_CHUNK_BUDGET_BYTES,
                         eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

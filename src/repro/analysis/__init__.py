@@ -1,6 +1,6 @@
 """repro.analysis — correctness tooling for the numpy autograd stack.
 
-Three parts (see ``docs/static_analysis.md``):
+Five parts (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — AST-based lint framework with
   repo-specific rules (in-place ``Tensor.data`` mutation, unseeded

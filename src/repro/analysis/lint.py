@@ -34,7 +34,6 @@ R007      tensor-ctor-in-loop      warning
 R008      numpy-round-trip         error
 R009      single-element-concat    warning
 R010      composed-kernel-subgraph warning
-R011      manifest-slot-bypass     error
 ========  =======================  ========
 """
 
@@ -789,100 +788,6 @@ class ComposedKernelSubgraph(Rule):
 
 
 # ---------------------------------------------------------------------- #
-# R011 — direct manifest-slot assignment bypassing the installer
-# ---------------------------------------------------------------------- #
-@rule
-class ManifestSlotBypass(Rule):
-    """Rebinding a registered global slot outside its sanctioned writers.
-
-    The concurrency manifest (:data:`repro.concurrency.MANIFEST`)
-    declares every process-global slot together with the only functions
-    allowed to rebind it — ``set_registry``, the profiler's
-    ``__enter__``/``__exit__`` pair, and so on.  Writing
-    ``Tensor.backward = fn`` or ``global _default; _default = x`` from
-    anywhere else bypasses the slot's synchronization discipline; the
-    effect analyzer reports the same sites interprocedurally as C003,
-    this rule catches the plain syntactic shape without needing a
-    whole-package scan.
-    """
-
-    id = "R011"
-    name = "manifest-slot-bypass"
-    severity = "error"
-    doc = ("direct assignment to a concurrency-manifest slot outside "
-           "its sanctioned installer functions; route the write through "
-           "the installer listed in repro.concurrency.MANIFEST")
-
-    @staticmethod
-    def _slot_tables():
-        from ..concurrency import MANIFEST
-        class_attr: Dict[Tuple[str, str], Set[str]] = {}
-        module_global: Dict[str, Set[str]] = {}
-        for slot in MANIFEST:
-            basenames = {qualname.split(".")[-1]
-                         for _, qualname in slot.installer_pairs()}
-            if "." in slot.attr:
-                cls, attr = slot.attr.split(".", 1)
-                class_attr.setdefault((cls, attr), set()).update(basenames)
-            else:
-                module_global.setdefault(slot.attr, set()).update(basenames)
-        return class_attr, module_global
-
-    def check(self, tree: ast.Module):
-        class_attr, module_global = self._slot_tables()
-
-        def visit(node: ast.AST, fn_name: Optional[str],
-                  global_names: Set[str]):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn_name = node.name
-                global_names = {
-                    name for stmt in ast.walk(node)
-                    if isinstance(stmt, ast.Global)
-                    for name in stmt.names
-                }
-            for target in self._assign_targets(node):
-                yield from self._check_target(
-                    target, fn_name, global_names, class_attr, module_global)
-            for child in ast.iter_child_nodes(node):
-                yield from visit(child, fn_name, global_names)
-
-        yield from visit(tree, None, set())
-
-    @staticmethod
-    def _assign_targets(node: ast.AST) -> List[ast.AST]:
-        if isinstance(node, ast.Assign):
-            return list(node.targets)
-        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return [node.target] if node.value is not None or \
-                isinstance(node, ast.AugAssign) else []
-        return []
-
-    @staticmethod
-    def _check_target(target, fn_name, global_names, class_attr,
-                      module_global):
-        chain = _attr_chain(target)
-        if chain and len(chain) >= 2:
-            key = (chain[-2], chain[-1])
-            installers = class_attr.get(key)
-            if installers is not None and fn_name not in installers:
-                yield (target,
-                       f"direct assignment to manifest slot "
-                       f"{'.'.join(key)} outside its installers "
-                       f"({', '.join(sorted(installers))}); see "
-                       f"repro.concurrency.MANIFEST")
-        elif isinstance(target, ast.Name) and fn_name is not None \
-                and target.id in global_names:
-            installers = module_global.get(target.id)
-            if installers is not None and fn_name not in installers:
-                yield (target,
-                       f"global rebind of manifest slot storage "
-                       f"{target.id!r} in {fn_name}(), which is not a "
-                       f"sanctioned installer "
-                       f"({', '.join(sorted(installers))}); see "
-                       f"repro.concurrency.MANIFEST")
-
-
-# ---------------------------------------------------------------------- #
 # Running rules over sources
 # ---------------------------------------------------------------------- #
 def _noqa_map(source: str) -> Dict[int, Optional[Set[str]]]:
@@ -956,14 +861,19 @@ def lint_file(path: Path,
 
 
 def _iter_python_files(paths: Sequence) -> List[Path]:
+    """The ``.py`` files named by ``paths``, directories searched
+    recursively.  Hidden and ``__pycache__`` directories are skipped only
+    below a given directory, so a checkout under ``~/.cache`` still
+    lints.  A path that does not exist raises ``FileNotFoundError``."""
     files: List[Path] = []
-    for entry in paths:
-        entry = Path(entry)
+    for entry in map(Path, paths):
+        if not entry.exists():
+            raise FileNotFoundError(f"no such file or directory: {entry}")
         if entry.is_dir():
             files.extend(sorted(
                 p for p in entry.rglob("*.py")
-                if "__pycache__" not in p.parts
-                and not any(part.startswith(".") for part in p.parts)
+                if not any(part == "__pycache__" or part.startswith(".")
+                           for part in p.relative_to(entry).parts)
             ))
         elif entry.suffix == ".py":
             files.append(entry)
@@ -991,7 +901,10 @@ class LintReport:
 def lint_paths(paths: Sequence,
                select: Optional[Sequence[str]] = None,
                ignore: Optional[Sequence[str]] = None) -> LintReport:
-    """Lint files and directories (recursively); the CLI entry point."""
+    """Lint files and directories (recursively); the CLI entry point.
+
+    Raises ``FileNotFoundError`` for a path that does not exist.
+    """
     report = LintReport()
     for file_path in _iter_python_files(paths):
         report.violations.extend(

@@ -138,8 +138,7 @@ def shape_spec(returns: Optional[str] = None, **params: str):
 
 # Keyed by the forward function object — one entry per decorated layer
 # class, so the bound stays generous.  Shared by every thread running a
-# shape-check, hence the lock (manifest slot ``analysis.shapes.sig_cache``;
-# found by the effect analysis as an unregistered mutable-global write).
+# shape-check, hence the lock.
 _SIG_CACHE_MAX = 1024
 _SIG_LOCK = threading.Lock()
 _signature_cache: Dict[object, inspect.Signature] = {}

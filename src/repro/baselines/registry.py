@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from ..errors import UnknownNameError
 from .base import Aligner
 from .bert_int import BertInt
 from .bootea import BootEA
@@ -49,7 +50,6 @@ def make_baseline(name: str) -> Aligner:
     try:
         factory = _FACTORIES[name]
     except KeyError:
-        raise KeyError(
-            f"unknown baseline {name!r}; available: {available_baselines()}"
-        ) from None
+        raise UnknownNameError("baseline", name,
+                               available_baselines()) from None
     return factory()

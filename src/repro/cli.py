@@ -36,6 +36,7 @@ from typing import List, Optional
 
 from . import obs
 from .datasets import available_datasets, build_dataset
+from .errors import UnknownNameError
 from .experiments import (
     available_methods,
     format_dataset_stats_table,
@@ -250,7 +251,6 @@ def _obs_list(args: argparse.Namespace) -> int:
     from .obs import compare as compare_mod
     summaries = compare_mod.list_runs(args.runs_dir)
     if args.format == "json":
-        import json
         print(json.dumps([_summary_dict(s) for s in summaries], indent=2))
     else:
         print(compare_mod.format_run_list(summaries))
@@ -300,7 +300,6 @@ def _obs_compare(args: argparse.Namespace) -> int:
         return 1
     summaries = compare_mod.compare_records(paths)
     if args.format == "json":
-        import json
         print(json.dumps([_summary_dict(s) for s in summaries], indent=2))
     else:
         print(compare_mod.format_compare_table(summaries))
@@ -340,8 +339,8 @@ def _obs_watch(args: argparse.Namespace) -> int:
 
 def _obs_prune(args: argparse.Namespace) -> int:
     from .obs import compare as compare_mod
-    if args.keep is None:
-        print("obs prune needs --keep N", file=sys.stderr)
+    if args.keep is None or args.keep < 0:
+        print("obs prune needs --keep N with N >= 0", file=sys.stderr)
         return 2
     removed = compare_mod.prune_runs(args.runs_dir, keep=args.keep)
     print(f"pruned {len(removed)} files "
@@ -385,10 +384,6 @@ _TABLES = {
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.table not in _TABLES:
-        print(f"unknown table {args.table!r}; choose from {sorted(_TABLES)}",
-              file=sys.stderr)
-        return 2
     datasets, default_methods = _TABLES[args.table]
     methods = args.methods or list(default_methods)
     for dataset in datasets:
@@ -432,7 +427,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .obs import metrics
 
     start = time.perf_counter()
-    report = lint_paths(args.paths, select=args.select, ignore=args.ignore)
+    try:
+        report = lint_paths(args.paths, select=args.select,
+                            ignore=args.ignore)
+    except FileNotFoundError as exc:
+        print(f"lint: {exc}", file=sys.stderr)
+        return 1
     seconds = time.perf_counter() - start
     # Lands in the run-record metrics snapshot when an obs session is
     # active (no-op otherwise) — `repro obs` then shows lint runtime.
@@ -448,83 +448,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
-def _cmd_effects(args: argparse.Namespace) -> int:
-    from .analysis.effects import analyze_effects, effects_of
-    from .obs import metrics
-
-    if args.entry:
-        try:
-            pairs = effects_of(args.entry)
-        except KeyError:
-            print(f"unknown function {args.entry!r}; use the full "
-                  f"dotted name, e.g. "
-                  f"repro.align.similarity.chunked_cosine_topk",
-                  file=sys.stderr)
-            return 1
-        print(f"{args.entry}:")
-        for rendered, origin in pairs:
-            print(f"  {rendered}  <- {origin}")
-        return 0
-    start = time.perf_counter()
-    report = analyze_effects(select=args.select, ignore=args.ignore)
-    seconds = time.perf_counter() - start
-    # Same pattern as `repro lint`: lands in the run-record metrics
-    # snapshot when an obs session is active, no-op otherwise.
-    metrics.histogram("analysis.effects_seconds").observe(seconds)
-    metrics.counter("analysis.effects_findings").inc(len(report.findings))
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text(verbose=args.verbose))
-        print(f"(analyzed {report.functions} functions "
-              f"in {seconds * 1000:.0f} ms)")
-    return 1 if report.findings else 0
-
-
-def _cmd_race_check(args: argparse.Namespace) -> int:
-    from .analysis.races import default_scenarios, race_check, scenario_names
-    from .obs import metrics
-
-    scenarios = None
-    if args.scenario:
-        known = {s.name: s for s in default_scenarios()}
-        missing = [name for name in args.scenario if name not in known]
-        if missing:
-            print(f"unknown scenario(s) {missing}; choose from "
-                  f"{scenario_names()}", file=sys.stderr)
-            return 1
-        scenarios = [known[name] for name in args.scenario]
-    start = time.perf_counter()
-    report = race_check(threads=args.threads, rounds=args.rounds,
-                        scenarios=scenarios)
-    seconds = time.perf_counter() - start
-    metrics.histogram("analysis.race_check_seconds").observe(seconds)
-    metrics.counter("analysis.race_findings").inc(len(report.findings))
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text())
-        print(f"(drove {report.accesses} recorded accesses "
-              f"in {seconds * 1000:.0f} ms)")
-    return 1 if report.findings else 0
-
-
 def _cmd_shape_check(args: argparse.Namespace) -> int:
     from .analysis.shapes.interpreter import (
         format_json as shapes_json,
         format_text as shapes_text,
         shape_check,
     )
-    from .experiments import available_methods
     from .obs import metrics
 
     methods = None
     if args.method is not None:
-        known = available_methods()
-        if args.method not in known:
-            print(f"unknown method {args.method!r}; choose from {known}",
-                  file=sys.stderr)
-            return 1
+        # shape_check reports a name without a probe as finding S006;
+        # a name that is not a method at all is a usage error.
+        if args.method not in available_methods():
+            raise UnknownNameError("method", args.method,
+                                   available_methods())
         methods = [args.method]
     start = time.perf_counter()
     report = shape_check(methods, select=args.select, ignore=args.ignore)
@@ -554,11 +492,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import trace as obs_trace
     from .obs.profile import format_summary_json
 
-    known = available_methods()
-    if args.method not in known:
-        print(f"unknown method {args.method!r}; choose from {known}",
-              file=sys.stderr)
-        return 1
     if args.dataset:
         pair = build_dataset(args.dataset)
         method = make_method(args.method)
@@ -599,7 +532,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_check_model(args: argparse.Namespace) -> int:
     from .analysis import check_method
-    from .experiments import available_methods
 
     methods = available_methods() if args.all else [args.method]
     if not args.all and args.method is None:
@@ -637,11 +569,6 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     from .analysis.ir import capture_method, replay, run_passes
     from .obs import metrics
 
-    known = available_methods()
-    if args.method not in known:
-        print(f"unknown method {args.method!r}; choose from {known}",
-              file=sys.stderr)
-        return 1
     start = time.perf_counter()
     try:
         capture = capture_method(args.method)
@@ -828,34 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip specific rule ids (e.g. R005)")
     lint.set_defaults(func=_cmd_lint)
 
-    effects = sub.add_parser(
-        "effects", help="shard-safety effect analysis over src/repro "
-                        "(see docs/concurrency.md)"
-    )
-    effects.add_argument("--entry", default=None,
-                         help="print the inferred effects of one function "
-                              "(full dotted name) instead of gating")
-    effects.add_argument("--format", choices=("text", "json"),
-                         default="text")
-    effects.add_argument("--verbose", action="store_true",
-                         help="list inferred effects under each contract")
-    effects.add_argument("--select", nargs="*", default=None,
-                         help="restrict to finding codes (e.g. C001 C003)")
-    effects.add_argument("--ignore", nargs="*", default=None,
-                         help="skip finding codes (e.g. C006)")
-    effects.set_defaults(func=_cmd_effects)
-
-    races = sub.add_parser(
-        "race-check", help="dynamic race sanitizer over the global-state "
-                           "manifest (see docs/concurrency.md)"
-    )
-    races.add_argument("--threads", type=int, default=8)
-    races.add_argument("--rounds", type=int, default=4)
-    races.add_argument("--scenario", nargs="*", default=None,
-                       help="run only the named scenario(s)")
-    races.add_argument("--format", choices=("text", "json"), default="text")
-    races.set_defaults(func=_cmd_race_check)
-
     shape = sub.add_parser(
         "shape-check",
         help="abstractly execute every registered method over symbolic "
@@ -911,7 +810,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``repro`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..align.evaluator import evaluate_embeddings
 from ..analysis.anomaly import detect_anomaly
-from ..concurrency import shard_safe
 from ..kg.pair import Link
 from ..nn import Adam, BestCheckpoint, Tensor, clip_grad_norm, no_grad
 from ..obs import events, metrics, telemetry, trace
@@ -94,8 +93,6 @@ def _anomaly_context(config: SDEAConfig):
     return detect_anomaly() if config.detect_anomaly else nullcontext()
 
 
-@shard_safe(merges=("obs.metrics.registry", "obs.tracing.tracer"), io=True,
-            note="telemetry/prometheus emission; RNG is caller-seeded")
 def pretrain_attribute_module(
     module: AttributeEmbeddingModule,
     encoder1: SequenceEncoder,
@@ -222,8 +219,6 @@ class RelationModel:
         return np.concatenate(rows, axis=0)
 
 
-@shard_safe(merges=("obs.metrics.registry", "obs.tracing.tracer"), io=True,
-            note="telemetry/prometheus emission; RNG is caller-seeded")
 def train_relation_model(
     attr1: np.ndarray,
     attr2: np.ndarray,

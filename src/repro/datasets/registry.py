@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from ..errors import UnknownNameError
 from ..kg.pair import KGPair
 from .dbp15k import DBP15K_LANGS, build_dbp15k
 from .openea import OPENEA_DATASETS, build_openea
@@ -42,7 +43,5 @@ def build_dataset(name: str, **kwargs) -> KGPair:
     try:
         builder = _REGISTRY[name]
     except KeyError:
-        raise KeyError(
-            f"unknown dataset {name!r}; available: {available_datasets()}"
-        ) from None
+        raise UnknownNameError("dataset", name, available_datasets()) from None
     return builder(**kwargs)

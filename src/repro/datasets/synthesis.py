@@ -158,17 +158,13 @@ _ATTR_SCHEMA = {
 }
 
 
-def generate_world(config: WorldConfig,
-                   rng: Optional[np.random.Generator] = None) -> World:
+def generate_world(config: WorldConfig) -> World:
     """Generate the ground-truth world.
 
-    ``rng`` lets a caller supply its own stream (e.g. one spawned per
-    shard); by default a fresh generator is seeded from ``config.seed``
-    so repeated calls are bitwise identical and never touch shared
-    module-level RNG state.
+    A fresh generator is seeded from ``config.seed``, so repeated calls
+    are bitwise identical and never touch shared module-level RNG state.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     entities: List[EntitySpec] = []
 
     def new_entity(etype: str, name_words: List[str]) -> EntitySpec:
@@ -276,16 +272,13 @@ def _person_comment(person: EntitySpec, entities: List[EntitySpec],
 # View derivation
 # ---------------------------------------------------------------------- #
 def derive_view(world: World, config: ViewConfig,
-                name: Optional[str] = None,
-                rng: Optional[np.random.Generator] = None) -> KnowledgeGraph:
+                name: Optional[str] = None) -> KnowledgeGraph:
     """Derive one KG view of a world according to ``config``.
 
-    As with :func:`generate_world`, ``rng`` overrides the default
-    config-seeded stream; the default is side-salted so the two views
-    of a pair draw from independent deterministic streams.
+    The generator is seeded from ``config.seed`` salted by the side, so
+    the two views of a pair draw from independent deterministic streams.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed + 7919 * config.side)
+    rng = np.random.default_rng(config.seed + 7919 * config.side)
     schema = _ATTR_SCHEMA[config.side]
     graph = KnowledgeGraph(name=name or f"kg{config.side}")
     uris = [_entity_uri(spec, config) for spec in world.entities]
@@ -444,20 +437,17 @@ def _render_value(key: str, value: str, spec: EntitySpec, config: ViewConfig,
 # ---------------------------------------------------------------------- #
 def generate_pair(world_config: WorldConfig, view1: ViewConfig,
                   view2: ViewConfig, name: str = "pair",
-                  include_concepts_in_links: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> KGPair:
+                  include_concepts_in_links: bool = False) -> KGPair:
     """Generate a world and derive a linked KG pair from it.
 
-    When ``rng`` is given, the world and both views draw sequentially
-    from that single stream (deterministic given the generator's
-    state); when omitted, each stage seeds its own generator from its
-    config so the result is bitwise stable across calls and threads.
+    Each stage seeds its own generator from its config, so the result
+    is bitwise stable across calls.
     """
     if view1.side == view2.side:
         view2 = replace(view2, side=3 - view1.side)
-    world = generate_world(world_config, rng=rng)
-    kg1 = derive_view(world, view1, name=f"{name}-1", rng=rng)
-    kg2 = derive_view(world, view2, name=f"{name}-2", rng=rng)
+    world = generate_world(world_config)
+    kg1 = derive_view(world, view1, name=f"{name}-1")
+    kg2 = derive_view(world, view2, name=f"{name}-2")
 
     uris1 = [_entity_uri(s, view1) for s in world.entities]
     uris2 = [_entity_uri(s, view2) for s in world.entities]

@@ -10,6 +10,7 @@ from ..baselines.base import Aligner
 from ..baselines.registry import _FACTORIES as _BASELINE_FACTORIES
 from ..core.config import SDEAConfig
 from ..core.model import SDEA
+from ..errors import UnknownNameError
 from ..kg.pair import AlignmentSplit, KGPair
 
 
@@ -66,4 +67,4 @@ def make_method(name: str) -> Aligner:
         return _EXTRA_FACTORIES[name]()
     if name in _BASELINE_FACTORIES:
         return _BASELINE_FACTORIES[name]()
-    raise KeyError(f"unknown method {name!r}; available: {available_methods()}")
+    raise UnknownNameError("method", name, available_methods())

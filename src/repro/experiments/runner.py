@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..align.evaluator import EvaluationResult
-from ..concurrency import shard_safe
 from ..kg.pair import AlignmentSplit, KGPair
 from ..obs import events, trace
 from ..obs import telemetry as telemetry_mod
@@ -246,11 +245,6 @@ def _write_run_record(result: ExperimentResult, method,
     return path
 
 
-@shard_safe(merges=("obs.metrics.registry", "obs.tracing.tracer"),
-            owns=("obs.telemetry.stream", "obs.events.log"),
-            mutates=("pair",), io=True,
-            note="installs a per-run telemetry stream; caches the "
-                 "split on the pair")
 def run_experiment(method_name: str, pair: KGPair,
                    split: Optional[AlignmentSplit] = None,
                    with_stable_matching: bool = False) -> ExperimentResult:
@@ -342,11 +336,6 @@ def run_experiment(method_name: str, pair: KGPair,
     return result
 
 
-@shard_safe(merges=("obs.metrics.registry", "obs.tracing.tracer"),
-            owns=("obs.telemetry.stream", "obs.events.log"),
-            mutates=("pair",), io=True,
-            note="per-method sweep; each method run is itself a "
-                 "shard-safe entry")
 def run_suite(method_names: Sequence[str], pair: KGPair,
               split: Optional[AlignmentSplit] = None,
               with_stable_matching: bool = False) -> List[ExperimentResult]:

@@ -26,9 +26,8 @@ __all__ = ["tune_allocator"]
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
-# Once-per-process latch (manifest slot ``nn.kernels.alloc_latch``).
-# Locked so two threads entering their first use_kernels() concurrently
-# cannot both run the mallopt sequence.
+# Once-per-process latch.  Locked so two threads entering their first
+# use_kernels() concurrently cannot both run the mallopt sequence.
 _TUNE_LOCK = threading.Lock()
 _tuned = False
 

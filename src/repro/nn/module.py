@@ -18,8 +18,9 @@ from .tensor import Tensor
 #: ``Module.__call__`` on a single truthiness check; the op profiler
 #: (:mod:`repro.obs.profile`) registers a pair while active so op events
 #: can be attributed to the module that created them.  Mutation goes
-#: through ``_HOOKS_LOCK`` (manifest slot ``nn.module.forward_hooks``);
-#: ``__call__`` iterates a snapshot, so reads stay lock-free.
+#: through ``_HOOKS_LOCK`` so concurrent register/remove calls cannot
+#: lose a hook; ``__call__`` iterates a snapshot, so reads stay
+#: lock-free.
 _HOOKS_LOCK = threading.Lock()
 _forward_hooks: List[Tuple[Optional[Callable], Optional[Callable]]] = []
 

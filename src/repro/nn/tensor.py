@@ -26,9 +26,8 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 #: so a future float32/mixed-precision backend is a one-line switch.
 DEFAULT_DTYPE = np.float64
 
-# Gradient recording is per-thread (manifest slot ``nn.grad_mode``), so
-# a no_grad() window on one thread cannot disable autograd for a training
-# step running on another.
+# Gradient recording is per-thread, so a no_grad() window on one thread
+# cannot disable autograd for a training step running on another.
 _grad_state = threading.local()
 
 

@@ -47,9 +47,8 @@ FRIENDLY_OP_NAMES = {
 #: keep it tiny, but dynamically built closures (fused kernels compiled
 #: per shape, test fixtures) can mint fresh code objects, so the cache
 #: is bounded; and it is shared by every thread that profiles or
-#: captures IR, so access goes through ``_NAME_LOCK`` (manifest slot
-#: ``obs.attribution.name_cache``; the unlocked version was the first
-#: defect ``repro race-check`` caught).
+#: captures IR, so access goes through ``_NAME_LOCK``: the size check,
+#: clear and insert run as one step and the bound holds.
 NAME_CACHE_MAX = 1024
 
 _NAME_LOCK = threading.Lock()

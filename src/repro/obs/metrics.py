@@ -65,7 +65,7 @@ class _Instrument:
 
     Every update takes the per-instrument lock: ``inc``/``observe`` are
     read-modify-write sequences, so two threads updating the same series
-    would otherwise lose increments (the race check demonstrates it).
+    would otherwise lose increments.
     An uncontended ``threading.Lock`` costs ~100 ns, invisible at
     per-batch/per-step update granularity.
     """

@@ -124,6 +124,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "R001" in out and "R002" not in out
 
+    def test_lint_missing_path_fails_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        assert main(["lint", str(missing)]) != 0
+        assert str(missing) in capsys.readouterr().err
+
     def test_lint_records_runtime_metric(self, tmp_path):
         from repro.obs import Registry, use_registry
         clean = tmp_path / "clean.py"
@@ -159,6 +164,33 @@ class TestCommands:
         assert main(["report", "--results", str(results),
                      "--out", str(out_file)]) == 0
         assert out_file.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--dataset", "nope/x", "--method", "jape-stru"],
+         "unknown dataset 'nope/x'"),
+        (["stats", "--dataset", "nope/x"], "unknown dataset 'nope/x'"),
+        (["export", "--dataset", "nope/x", "--out", "TMP"],
+         "unknown dataset 'nope/x'"),
+        (["profile", "--method", "jape-stru", "--dataset", "nope/x"],
+         "unknown dataset 'nope/x'"),
+        (["run", "--dataset", "srprs/dbp_yg", "--method", "nope"],
+         "unknown method 'nope'"),
+        (["table", "--table", "3", "--methods", "nope"],
+         "unknown method 'nope'"),
+        (["obs", "prune", "--keep", "-1"], "--keep N with N >= 0"),
+    ], ids=["run-dataset", "stats-dataset", "export-dataset",
+            "profile-dataset", "run-method", "table-methods",
+            "prune-negative-keep"])
+    def test_exits_nonzero_with_a_message(self, argv, message, tmp_path,
+                                          capsys):
+        # KeyError / ValueError escaping main would fail the test here.
+        argv = [str(tmp_path) if arg == "TMP" else arg for arg in argv]
+        if argv[0] in ("run", "profile", "obs"):
+            argv += ["--runs-dir", str(tmp_path)]
+        assert main(argv) != 0
+        assert message in capsys.readouterr().err
 
 
 class TestShapeCheckCommand:

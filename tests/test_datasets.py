@@ -242,6 +242,8 @@ class TestPresets:
         b = build_dbp15k("ja_en", scale=scale)
         assert a.kg1.entity_uris() == b.kg1.entity_uris()
         assert a.links == b.links
+        assert a.kg1.rel_triples == b.kg1.rel_triples
+        assert a.kg2.attr_triples == b.kg2.attr_triples
 
 
 class TestSampling:
