@@ -2,7 +2,7 @@
 
 .PHONY: install test lint shapecheck check bench bench-hot bench-hot-smoke \
 	bench-compare bench-compare-smoke report obs-demo obs-check \
-	ir-check profile-demo clean
+	ir-check e2e-smoke profile-demo clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -21,9 +21,9 @@ shapecheck:
 
 # The full gate: lint clean, shapes clean, hot-path bench smoke,
 # committed bench baseline structurally valid, telemetry pipeline
-# end-to-end, IR capture/replay verified, tests.
-check: lint shapecheck bench-hot-smoke bench-compare-smoke obs-check ir-check test
-	@echo "check: OK - all gates green (lint, shape, bench, obs, ir, tests)"
+# end-to-end, IR capture/replay verified, e2e benchmark smoke, tests.
+check: lint shapecheck bench-hot-smoke bench-compare-smoke obs-check ir-check e2e-smoke test
+	@echo "check: OK - all gates green (lint, shape, bench, obs, ir, e2e, tests)"
 
 # Tiny instrumented run: prints the span report and writes a run record
 # under runs/ (inspect it with `python -m repro.cli obs`).
@@ -44,6 +44,12 @@ obs-check:
 # replay against eager (part of `make check`).
 ir-check:
 	python benchmarks/ir_check.py
+
+# One traced sdea-srprs repetition of the end-to-end benchmark
+# (e2ebench/): correct, no failed check, no DISAGREE, and the tracer saw
+# MLM, Alg.-2 encodes and steps (~20 s; part of `make check`).
+e2e-smoke:
+	python benchmarks/e2e_smoke.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

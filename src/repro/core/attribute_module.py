@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..nn import Linear, Module, Tensor, concatenate, no_grad
-from ..text.bert import BertForMaskedLM, MiniBert
+from ..nn import DEFAULT_DTYPE, Linear, Module, Tensor, concatenate, no_grad
+from ..text.bert import BertForMaskedLM, MiniBert, SequenceEncoder
 from ..text.lsa import CorpusStats, corpus_stats
 from ..text.pretrain import PretrainConfig, pretrain_mlm
 from ..text.tokenizer import WordPieceTokenizer
@@ -72,48 +72,26 @@ class AttributeEmbeddingModule(Module):
         return self.head(pooled)                # H_a(e), Eq. 7
 
 
-class SequenceEncoder:
-    """Caches tokenised attribute sequences for a set of entities."""
-
-    def __init__(self, tokenizer: WordPieceTokenizer,
-                 sequences: Sequence[str], max_len: int):
-        self.tokenizer = tokenizer
-        self.max_len = max_len
-        ids_rows: List[List[int]] = []
-        mask_rows: List[List[bool]] = []
-        for text in sequences:
-            ids, mask = tokenizer.encode(text, max_len)
-            ids_rows.append(ids)
-            mask_rows.append(mask)
-        self.ids = np.asarray(ids_rows, dtype=np.int64)
-        self.mask = np.asarray(mask_rows, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def batch(self, entity_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Token ids + attention mask for the given entity ids."""
-        idx = np.asarray(entity_ids, dtype=int)
-        return self.ids[idx], self.mask[idx]
-
-
 def encode_all(module: AttributeEmbeddingModule, encoder: SequenceEncoder,
                batch_size: int = 64) -> np.ndarray:
     """Embed every entity with gradients disabled (lines 2–3 of Alg. 2).
 
-    Returns an ``(n, embed_dim)`` float array.
+    Entities go through in blocks of similar length (a stable sort by
+    token count), so each block is trimmed to little more than its own
+    rows' width; every row is written back in entity order.  Returns an
+    ``(n, embed_dim)`` float array.
     """
     was_training = module.training
     module.eval()
-    rows: List[np.ndarray] = []
+    order = np.argsort(encoder.lengths, kind="stable")
+    out = np.empty((len(encoder), module.embed_dim), dtype=DEFAULT_DTYPE)
     with no_grad():
-        for start in range(0, len(encoder), batch_size):
-            ids = encoder.ids[start:start + batch_size]
-            mask = encoder.mask[start:start + batch_size]
-            rows.append(module(ids, mask).numpy())
+        for start in range(0, len(order), batch_size):
+            rows = order[start:start + batch_size]
+            out[rows] = module(*encoder.batch(rows)).numpy()
     if was_training:
         module.train()
-    return np.concatenate(rows, axis=0)
+    return out
 
 
 @dataclass
@@ -136,13 +114,15 @@ def prepare_text_encoder(texts1: Sequence[str], texts2: Sequence[str],
     Shared by SDEA (attribute sequences) and BERT-INT-lite (entity names).
     ``config`` is an :class:`repro.core.config.SDEAConfig`.
     """
-    corpus = list(texts1) + list(texts2)
-    tokenizer = WordPieceTokenizer.train(corpus, vocab_size=config.vocab_size)
+    tokenizer = WordPieceTokenizer.train(list(texts1) + list(texts2),
+                                         vocab_size=config.vocab_size)
     bert_config = config.bert_config(tokenizer.vocab_size)
     mlm = BertForMaskedLM(bert_config, rng)
 
-    encoder1 = SequenceEncoder(tokenizer, texts1, config.max_seq_len)
-    encoder2 = SequenceEncoder(tokenizer, texts2, config.max_seq_len)
+    encoder1 = SequenceEncoder.from_texts(tokenizer, texts1,
+                                          config.max_seq_len)
+    encoder2 = SequenceEncoder.from_texts(tokenizer, texts2,
+                                          config.max_seq_len)
     all_ids = np.concatenate([encoder1.ids, encoder2.ids])
     all_mask = np.concatenate([encoder1.mask, encoder2.mask])
     stats = corpus_stats(all_ids, all_mask, tokenizer.vocab_size,
@@ -155,10 +135,9 @@ def prepare_text_encoder(texts1: Sequence[str], texts2: Sequence[str],
     mlm_losses: List[float] = []
     if config.mlm_epochs > 0:
         mlm_losses = pretrain_mlm(
-            mlm, tokenizer, corpus,
+            mlm, tokenizer.vocab, all_ids, all_mask,
             PretrainConfig(
                 epochs=config.mlm_epochs,
-                max_len=config.max_seq_len,
                 lr=config.mlm_lr,
                 seed=config.seed + 3,
             ),

@@ -29,6 +29,11 @@ Backward modes (see :mod:`.registry`):
   engine's dispatch order* — per-gate parameter matmuls step by step,
   gradient sums grouped exactly as the engine's accumulator groups them
   — so every ``.grad`` is bit-for-bit identical to the unfused run.
+  That holds also when one module runs several times in one backward
+  (Algorithm 3's anchor, positive and negative): the composed loop
+  reads its weights through one :meth:`~repro.nn.rnn.GRUCell.packed_gates`
+  node per call, as these kernels do, so each call's parameter gradient
+  reaches the per-gate leaves as one sum on both paths.
   (For :func:`fused_gru_cell` the guarantee is per-call: a fused cell
   inside a *composed* GRU loop groups the hidden-state gradient sum
   differently than the fully-composed loop, so use the sequence kernel

@@ -29,9 +29,10 @@ class GRUCell(Module):
     """Single GRU step; processes one timestep of a batch.
 
     Parameters are stored per-gate (``w_r``/``u_r``/``b_r``, ...), which
-    keeps state dicts and tests readable; the opt-in fused path (see
-    :mod:`repro.nn.kernels`) packs them into ``(D_in, 3H)`` / ``(H, 3H)``
-    matrices on the fly via :meth:`packed_gates`.
+    keeps state dicts and tests readable; a GRU call packs them once into
+    ``(D_in, 3H)`` / ``(H, 3H)`` matrices via :meth:`packed_gates`, which
+    the fused kernels (see :mod:`repro.nn.kernels`) take whole and the
+    composed loop slices per gate (:meth:`gate_slices`).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -62,21 +63,34 @@ class GRUCell(Module):
         b = concatenate([self.b_r, self.b_z, self.b_h], axis=0)
         return w, u, b
 
+    def gate_slices(self, w: Tensor, u: Tensor, b: Tensor
+                    ) -> Tuple[Tuple[Tensor, Tensor, Tensor], ...]:
+        """Per-gate ``(w, u, b)`` for r, z and c, sliced from packed tensors."""
+        hid, two = self.hidden_dim, 2 * self.hidden_dim
+        return tuple((w[:, cols], u[:, cols], b[cols]) for cols in
+                     (slice(0, hid), slice(hid, two), slice(two, None)))
+
     @shape_spec(x="b input_dim", h_prev="b hidden_dim", returns="b hidden_dim")
     def forward(self, x: Tensor, h_prev: Tensor,  # repro: noqa[R010] reference fallback for fused_gru_cell
-                packed: Optional[Tuple[Tensor, Tensor, Tensor]] = None
-                ) -> Tensor:
+                gates: Optional[tuple] = None) -> Tensor:
         """Advance one step: ``(B, D_in), (B, D_h) -> (B, D_h)``.
 
-        ``packed`` lets a caller running many steps (the GRU loop) reuse
-        one :meth:`packed_gates` result on the fused path.
+        ``gates`` lets the GRU loop share one set of weights across its
+        steps: a :meth:`packed_gates` result for the fused cell, or its
+        :meth:`gate_slices` for the composed step.  Without it the fused
+        cell packs the parameters and the composed step uses them as
+        they are.
         """
         if kernel_active("gru_cell"):
-            w, u, b = packed if packed is not None else self.packed_gates()
+            w, u, b = gates if gates is not None else self.packed_gates()
             return fused_gru_cell(x, h_prev, w, u, b)
-        r = (x @ self.w_r + h_prev @ self.u_r + self.b_r).sigmoid()
-        z = (x @ self.w_z + h_prev @ self.u_z + self.b_z).sigmoid()
-        candidate = (x @ self.w_h + (r * h_prev) @ self.u_h + self.b_h).tanh()
+        (w_r, u_r, b_r), (w_z, u_z, b_z), (w_h, u_h, b_h) = (
+            gates if gates is not None else
+            ((self.w_r, self.u_r, self.b_r), (self.w_z, self.u_z, self.b_z),
+             (self.w_h, self.u_h, self.b_h)))
+        r = (x @ w_r + h_prev @ u_r + b_r).sigmoid()
+        z = (x @ w_z + h_prev @ u_z + b_z).sigmoid()
+        candidate = (x @ w_h + (r * h_prev) @ u_h + b_h).tanh()
         return (1.0 - z) * h_prev + z * candidate
 
 
@@ -112,20 +126,24 @@ class GRU(Module):
         batch, steps, _ = x.shape
         if mask is None:
             mask = np.ones((batch, steps), dtype=bool)
+        # One packed node per call on every path: the call's parameter
+        # gradient is summed there before the per-gate leaves see it, so
+        # several calls in one backward group the leaf sums alike and the
+        # fused kernels stay bit-for-bit equal to the composed loop.
+        w, u, b = self.cell.packed_gates()
         if kernel_active("gru_sequence"):
             # Whole recurrence as one autograd node: T steps of ~30 ops
             # collapse to a single hand-derived backward-through-time.
-            w, u, b = self.cell.packed_gates()
             return fused_gru_sequence(x, mask, w, u, b,
                                       reverse=self.reverse)
+        gates = ((w, u, b) if kernel_active("gru_cell")
+                 else self.cell.gate_slices(w, u, b))
         order = range(steps - 1, -1, -1) if self.reverse else range(steps)
         h = Tensor(np.zeros((batch, self.hidden_dim), dtype=DEFAULT_DTYPE))
-        packed = (self.cell.packed_gates()
-                  if kernel_active("gru_cell") else None)
         outputs: list[Optional[Tensor]] = [None] * steps
         for t in order:
             x_t = x[:, t, :]
-            h_new = self.cell(x_t, h, packed=packed)
+            h_new = self.cell(x_t, h, gates=gates)
             step_mask = mask[:, t:t + 1]
             h = where(step_mask, h_new, h)
             outputs[t] = h

@@ -63,6 +63,7 @@ class RunSummary:
     alerts_fail: int = 0
     stream: Optional[Path] = None
     warnings: List[str] = field(default_factory=list)
+    version: Dict[str, object] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -110,6 +111,7 @@ def summarize_record(path, record: Optional[RunRecord] = None) -> RunSummary:
         alerts_fail=int(health.get("alerts_fail", 0) or 0),
         stream=stream,
         warnings=warnings,
+        version=dict(record.version or {}),
     )
 
 
@@ -299,6 +301,12 @@ def diff_records(path_a, path_b) -> RunDiff:
             f"comparing different workloads: {a.method}/{a.dataset} "
             f"vs {b.method}/{b.dataset}"
         )
+    blas_a, blas_b = _blas_config(a), _blas_config(b)
+    if blas_a and blas_b and blas_a != blas_b:
+        warnings.append(
+            f"BLAS configuration differs: {blas_a} vs {blas_b}; float "
+            f"results may differ in the last bits with no code change"
+        )
 
     keys = [k for k in _RESULT_KEYS
             if k in a.results or k in b.results]
@@ -342,6 +350,14 @@ def diff_records(path_a, path_b) -> RunDiff:
     return RunDiff(a=a, b=b, results=results, timing=timing, memory=memory,
                    alerts=alerts, trajectories=trajectories,
                    warnings=warnings)
+
+
+def _blas_config(summary: RunSummary) -> Optional[str]:
+    """``"<library> threads=<n>"`` when the record stamps both."""
+    version = summary.version
+    if "blas" not in version or "blas_threads" not in version:
+        return None
+    return f"{version['blas']} threads={version['blas_threads']}"
 
 
 def compare_records(paths: Sequence) -> List[RunSummary]:

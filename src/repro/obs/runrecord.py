@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform
 import subprocess
 import time
@@ -39,7 +40,13 @@ SCHEMA_VERSION = 3
 
 
 def version_stamp(repo_root: Optional[Path] = None) -> Dict[str, object]:
-    """Best-effort provenance: package version, git describe, platform."""
+    """Best-effort provenance: package version, git describe, platform.
+
+    ``blas`` (library and version) and ``blas_threads`` name the BLAS
+    configuration: OpenBLAS splits large GEMMs differently by thread
+    count, so the same seed can give results that differ in the last
+    bits on another configuration.
+    """
     stamp: Dict[str, object] = {"python": platform.python_version()}
     try:
         from .. import __version__
@@ -49,8 +56,12 @@ def version_stamp(repo_root: Optional[Path] = None) -> Dict[str, object]:
     try:
         import numpy
         stamp["numpy"] = numpy.__version__
-    except Exception:  # pragma: no cover
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name, release = blas.get("name", "?"), blas.get("version", "")
+        stamp["blas"] = f"{name} {release}".strip()
+    except Exception:  # pragma: no cover - numpy builds without the dict
         pass
+    stamp["blas_threads"] = _blas_threads()
     root = Path(repo_root) if repo_root else Path(__file__).resolve().parents[3]
     try:
         described = subprocess.run(
@@ -62,6 +73,22 @@ def version_stamp(repo_root: Optional[Path] = None) -> Dict[str, object]:
     except (OSError, subprocess.SubprocessError):
         pass
     return stamp
+
+
+def _blas_threads() -> int:
+    """BLAS threads of this process, by the rule ``e2ebench`` applies.
+
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, when set to a
+    positive count; otherwise the CPUs in the affinity mask.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 def _slug(text: str) -> str:

@@ -4,7 +4,7 @@ Replaces HuggingFace Transformers in this reproduction (see DESIGN.md
 substitution table).
 """
 
-from .bert import BertConfig, BertForMaskedLM, MiniBert, encode_batch
+from .bert import BertConfig, BertForMaskedLM, MiniBert, SequenceEncoder
 from .pretrain import (
     IGNORE_INDEX,
     PretrainConfig,
@@ -27,7 +27,7 @@ __all__ = [
     "Vocab", "SPECIAL_TOKENS",
     "PAD_TOKEN", "UNK_TOKEN", "CLS_TOKEN", "SEP_TOKEN", "MASK_TOKEN",
     "WordPieceTokenizer", "normalize", "pretokenize",
-    "BertConfig", "MiniBert", "BertForMaskedLM", "encode_batch",
+    "BertConfig", "MiniBert", "BertForMaskedLM", "SequenceEncoder",
     "PretrainConfig", "pretrain_mlm", "mask_tokens", "build_pretrained_bert",
     "IGNORE_INDEX",
 ]

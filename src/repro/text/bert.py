@@ -10,7 +10,7 @@ token as the sequence representation C(e) (paper Eq. 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class MiniBert(Module):
 
 
 class BertForMaskedLM(Module):
-    """MiniBert plus a tied-weight masked-language-model head."""
+    """MiniBert plus a masked-language-model head."""
 
     def __init__(self, config: BertConfig, rng: np.random.Generator):
         super().__init__()
@@ -100,21 +100,53 @@ class BertForMaskedLM(Module):
         # not required for the representation property SDEA uses.
         self.decoder = Linear(config.dim, config.vocab_size, rng)
 
-    def forward(self, ids: np.ndarray,
-                mask: Optional[np.ndarray] = None) -> Tensor:
-        """Return MLM logits of shape ``(B, T, vocab_size)``."""
+    def forward(self, ids: np.ndarray, mask: Optional[np.ndarray],
+                positions: np.ndarray) -> Tensor:
+        """MLM logits ``(len(positions), vocab_size)``.
+
+        ``positions`` index the flattened ``(B * T)`` token grid.  As in
+        BERT's ``gather_indexes``, only those hidden states go through
+        the head, so the ``(D, V)`` projection runs on the masked tokens
+        alone instead of on every position of the batch.
+        """
         hidden = self.bert(ids, mask)
-        transformed = self.norm(self.transform(hidden).tanh())
+        batch, steps, dim = hidden.shape
+        picked = hidden.reshape(batch * steps, dim)[np.asarray(positions)]
+        transformed = self.norm(self.transform(picked).tanh())
         return self.decoder(transformed)
 
 
-def encode_batch(tokenizer: WordPieceTokenizer, texts, max_len: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode a list of strings into padded id / mask arrays."""
-    ids = np.empty((len(texts), max_len), dtype=np.int64)
-    mask = np.empty((len(texts), max_len), dtype=bool)
-    for row, text in enumerate(texts):
-        row_ids, row_mask = tokenizer.encode(text, max_len)
-        ids[row] = row_ids
-        mask[row] = row_mask
-    return ids, mask
+class SequenceEncoder:
+    """Padded token rows, handed out in batches trimmed to their longest row.
+
+    Each row is ``[CLS]`` + word pieces followed by trailing ``[PAD]``
+    (:meth:`WordPieceTokenizer.encode`).  Masked keys get zero attention
+    weight, so in eval mode MiniBert's states at the real tokens are the
+    same function of the same tokens at any width (up to float rounding
+    in the sums over keys); cutting the columns that are padding in every
+    selected row only saves work.
+    """
+
+    def __init__(self, ids: np.ndarray, mask: np.ndarray):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.mask = np.asarray(mask, dtype=bool)
+        self.lengths = self.mask.sum(axis=1)
+
+    @classmethod
+    def from_texts(cls, tokenizer: WordPieceTokenizer, texts: Sequence[str],
+                   max_len: int) -> "SequenceEncoder":
+        """Tokenise every text once into ``max_len``-wide rows."""
+        ids = np.empty((len(texts), max_len), dtype=np.int64)
+        mask = np.empty((len(texts), max_len), dtype=bool)
+        for row, text in enumerate(texts):
+            ids[row], mask[row] = tokenizer.encode(text, max_len)
+        return cls(ids, mask)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def batch(self, rows: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Token ids + attention mask of ``rows``, cut to the longest one."""
+        idx = np.asarray(rows, dtype=int)
+        width = int(self.lengths[idx].max(initial=0))
+        return self.ids[idx, :width], self.mask[idx, :width]

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
 from ..nn import Adam, clip_grad_norm
 from ..nn import functional as F
 from ..obs import events, metrics, telemetry, trace
-from .bert import BertConfig, BertForMaskedLM
+from .bert import BertConfig, BertForMaskedLM, SequenceEncoder
 from .tokenizer import WordPieceTokenizer
+from .vocab import Vocab
 
 IGNORE_INDEX = -100
 
@@ -36,7 +37,7 @@ class PretrainConfig:
     batch_size: int = 16
     lr: float = 1e-3
     mask_prob: float = 0.15
-    max_len: int = 32
+    max_len: int = 32  # row width build_pretrained_bert tokenizes to
     max_grad_norm: float = 5.0
     seed: int = 13
 
@@ -68,49 +69,44 @@ def mask_tokens(ids: np.ndarray, attention: np.ndarray, mask_id: int,
     return ids, labels
 
 
-def pretrain_mlm(model: BertForMaskedLM, tokenizer: WordPieceTokenizer,
-                 corpus: Sequence[str], config: PretrainConfig,
+def pretrain_mlm(model: BertForMaskedLM, vocab: Vocab, ids: np.ndarray,
+                 mask: np.ndarray, config: PretrainConfig,
                  log: list | None = None) -> List[float]:
-    """Pre-train ``model`` on ``corpus`` lines; return per-epoch mean losses."""
+    """Pre-train ``model`` on padded token rows; return per-epoch mean losses.
+
+    ``ids``/``mask`` are ``[CLS]``-led rows as :class:`SequenceEncoder`
+    holds them.  Rows with no token after ``[CLS]`` (blank texts) are
+    dropped; every batch is trimmed to its longest row.
+    """
     rng = np.random.default_rng(config.seed)
-    texts = [line for line in corpus if line.strip()]
-    if not texts:
+    mask = np.asarray(mask, dtype=bool)
+    keep = mask.sum(axis=1) > 1
+    if not keep.any():
         raise ValueError("pre-training corpus is empty")
+    rows = SequenceEncoder(np.asarray(ids)[keep], mask[keep])
     optimizer = Adam(model.parameters(), lr=config.lr)
-    vocab = tokenizer.vocab
     epoch_losses: List[float] = []
 
     model.train()
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
         with trace.span("mlm/epoch", epoch=epoch):
-            order = rng.permutation(len(texts))
+            order = rng.permutation(len(rows))
             losses: List[float] = []
             for start in range(0, len(order), config.batch_size):
                 with trace.span("batch"):
-                    batch_texts = [
-                        texts[i]
-                        for i in order[start:start + config.batch_size]
-                    ]
-                    ids = np.empty((len(batch_texts), config.max_len),
-                                   dtype=np.int64)
-                    attention = np.empty((len(batch_texts), config.max_len),
-                                         dtype=bool)
-                    for row, text in enumerate(batch_texts):
-                        row_ids, row_mask = tokenizer.encode(text,
-                                                             config.max_len)
-                        ids[row] = row_ids
-                        attention[row] = row_mask
+                    batch_ids, attention = rows.batch(
+                        order[start:start + config.batch_size])
                     corrupted, labels = mask_tokens(
-                        ids, attention, vocab.mask_id, len(vocab), rng,
+                        batch_ids, attention, vocab.mask_id, len(vocab), rng,
                         config.mask_prob
                     )
-                    if (labels == IGNORE_INDEX).all():
+                    flat_labels = labels.reshape(-1)
+                    positions = np.flatnonzero(flat_labels != IGNORE_INDEX)
+                    if not len(positions):
                         continue
-                    logits = model(corrupted, attention)
-                    flat_logits = logits.reshape(-1, len(vocab))
-                    loss = F.cross_entropy(flat_logits, labels.reshape(-1),
-                                           ignore_index=IGNORE_INDEX)
+                    logits = model(corrupted, attention, positions)
+                    loss = F.cross_entropy(logits, flat_labels[positions])
                     optimizer.zero_grad()
                     loss.backward()
                     clip_grad_norm(model.parameters(), config.max_grad_norm)
@@ -155,5 +151,8 @@ def build_pretrained_bert(corpus: Iterable[str], bert_config: BertConfig | None 
         pretrain_config = PretrainConfig(seed=seed)
     rng = np.random.default_rng(seed)
     model = BertForMaskedLM(bert_config, rng)
-    pretrain_mlm(model, tokenizer, corpus, pretrain_config)
+    rows = SequenceEncoder.from_texts(tokenizer, corpus,
+                                      pretrain_config.max_len)
+    pretrain_mlm(model, tokenizer.vocab, rows.ids, rows.mask,
+                 pretrain_config)
     return model, tokenizer

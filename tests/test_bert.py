@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
+from repro.text import pretrain as pretrain_module
 from repro.text import (
     BertConfig,
     BertForMaskedLM,
     IGNORE_INDEX,
     MiniBert,
     PretrainConfig,
+    SequenceEncoder,
     WordPieceTokenizer,
-    encode_batch,
     mask_tokens,
     pretrain_mlm,
 )
@@ -81,11 +83,63 @@ class TestMiniBert:
         assert not np.allclose(out1, out2)
 
 
-class TestEncodeBatch:
-    def test_shapes(self, tokenizer):
-        ids, mask = encode_batch(tokenizer, ["alpha", "beta gamma"], max_len=8)
-        assert ids.shape == (2, 8)
-        assert mask.dtype == bool
+class TestSequenceEncoder:
+    TEXTS = ["alpha", "beta gamma delta epsilon", "", "gamma delta"]
+
+    def test_rows_match_tokenizer_encode(self, tokenizer):
+        rows = SequenceEncoder.from_texts(tokenizer, self.TEXTS, max_len=12)
+        assert rows.ids.shape == (4, 12) and rows.mask.dtype == bool
+        for row, text in enumerate(self.TEXTS):
+            ids, mask = tokenizer.encode(text, 12)
+            np.testing.assert_array_equal(rows.ids[row], ids)
+            np.testing.assert_array_equal(rows.mask[row], mask)
+        np.testing.assert_array_equal(rows.lengths, rows.mask.sum(axis=1))
+
+    @pytest.mark.parametrize("selected", [[0], [0, 2], [3, 0], [1, 3, 2]])
+    def test_batch_is_cut_to_longest_selected_row(self, tokenizer, selected):
+        rows = SequenceEncoder.from_texts(tokenizer, self.TEXTS, max_len=12)
+        ids, mask = rows.batch(selected)
+        width = max(rows.lengths[i] for i in selected)
+        assert ids.shape == mask.shape == (len(selected), width)
+        assert mask[:, -1].any()
+        np.testing.assert_array_equal(ids, rows.ids[selected, :width])
+        np.testing.assert_array_equal(mask, rows.mask[selected, :width])
+        assert not rows.mask[selected, width:].any()
+
+
+class TestMaskedLMHead:
+    def test_logits_only_at_positions(self, config, rng):
+        model = BertForMaskedLM(config, rng)
+        ids = np.full((2, 6), 7)
+        positions = np.array([1, 4, 8])
+        logits = model(ids, np.ones((2, 6), dtype=bool), positions)
+        assert logits.shape == (3, config.vocab_size)
+
+    def test_loss_matches_full_logit_loss(self, tokenizer, rng):
+        """Trimmed batch + gathered head == padded batch + every logit."""
+        config = BertConfig(vocab_size=tokenizer.vocab_size, dim=16,
+                            num_heads=2, ff_dim=32, num_layers=2, max_len=16)
+        model = BertForMaskedLM(config, rng)
+        model.eval()
+        padded = SequenceEncoder.from_texts(tokenizer, CORPUS[:6], 16)
+        corrupted, labels = mask_tokens(
+            padded.ids, padded.mask, tokenizer.vocab.mask_id,
+            tokenizer.vocab_size, np.random.default_rng(4), mask_prob=0.4)
+        hidden = model.bert(corrupted, padded.mask)
+        every = model.decoder(model.norm(model.transform(hidden).tanh()))
+        reference = F.cross_entropy(every.reshape(-1, config.vocab_size),
+                                    labels.reshape(-1),
+                                    ignore_index=IGNORE_INDEX)
+
+        width = int(padded.lengths.max())
+        assert width < 16
+        flat = labels[:, :width].reshape(-1)
+        positions = np.flatnonzero(flat != IGNORE_INDEX)
+        assert 0 < len(positions) < flat.size
+        logits = model(corrupted[:, :width], padded.mask[:, :width],
+                       positions)
+        loss = F.cross_entropy(logits, flat[positions])
+        assert abs(loss.item() - reference.item()) <= 1e-12
 
 
 class TestMaskTokens:
@@ -119,12 +173,17 @@ class TestMaskTokens:
         assert (labels == IGNORE_INDEX).all()
 
 
+def _rows(tokenizer, texts, max_len=12):
+    rows = SequenceEncoder.from_texts(tokenizer, texts, max_len)
+    return rows.ids, rows.mask
+
+
 class TestPretrainMLM:
     def test_loss_decreases(self, tokenizer, config, rng):
         model = BertForMaskedLM(config, rng)
         losses = pretrain_mlm(
-            model, tokenizer, CORPUS,
-            PretrainConfig(epochs=6, batch_size=4, max_len=12, seed=0),
+            model, tokenizer.vocab, *_rows(tokenizer, CORPUS),
+            PretrainConfig(epochs=6, batch_size=4, seed=0),
         )
         assert len(losses) == 6
         assert losses[-1] < losses[0]
@@ -132,14 +191,56 @@ class TestPretrainMLM:
     def test_empty_corpus_rejected(self, tokenizer, config, rng):
         model = BertForMaskedLM(config, rng)
         with pytest.raises(ValueError):
-            pretrain_mlm(model, tokenizer, ["", "  "],
+            pretrain_mlm(model, tokenizer.vocab,
+                         *_rows(tokenizer, ["", "  "]),
                          PretrainConfig(epochs=1))
 
     def test_model_left_in_eval_mode(self, tokenizer, config, rng):
         model = BertForMaskedLM(config, rng)
-        pretrain_mlm(model, tokenizer, CORPUS,
-                     PretrainConfig(epochs=1, max_len=12))
+        pretrain_mlm(model, tokenizer.vocab, *_rows(tokenizer, CORPUS),
+                     PretrainConfig(epochs=1))
         assert not model.training
+
+    def test_drops_exactly_the_blank_rows(self, tokenizer, config,
+                                          monkeypatch):
+        """Blank lines leave training unchanged; one-token lines stay."""
+        texts = CORPUS + ["alpha", "zeta"]
+        with_blanks = []
+        for line in texts:
+            with_blanks += [line, "", " \t "]
+        pretrain = PretrainConfig(epochs=2, batch_size=4, seed=0)
+        trajectories, rows_seen = [], []
+        for corpus in (texts, with_blanks):
+            seen = _batches_seen(monkeypatch)
+            model = BertForMaskedLM(config, np.random.default_rng(1))
+            trajectories.append(pretrain_mlm(
+                model, tokenizer.vocab, *_rows(tokenizer, corpus), pretrain))
+            rows_seen.append(sum(len(mask) for mask in seen))
+        assert trajectories[0] == trajectories[1]
+        assert rows_seen == [2 * len(texts)] * 2
+
+    def test_every_batch_is_trimmed(self, tokenizer, config, rng,
+                                    monkeypatch):
+        seen = _batches_seen(monkeypatch)
+        model = BertForMaskedLM(config, rng)
+        pretrain_mlm(model, tokenizer.vocab, *_rows(tokenizer, CORPUS),
+                     PretrainConfig(epochs=1, batch_size=4, seed=0))
+        assert len(seen) == 3
+        for mask in seen:
+            assert mask.shape[1] < 12 and mask[:, -1].any()
+
+
+def _batches_seen(monkeypatch):
+    """Record the attention mask of every batch ``pretrain_mlm`` masks."""
+    seen = []
+    real = pretrain_module.mask_tokens
+
+    def spy(ids, attention, *args):
+        seen.append(attention)
+        return real(ids, attention, *args)
+
+    monkeypatch.setattr(pretrain_module, "mask_tokens", spy)
+    return seen
 
 
 class TestLSA:

@@ -65,10 +65,10 @@ def write_stream(path: Path, losses, seconds, hits1=None) -> None:
 def make_record(runs_dir: Path, timestamp: float, *, method="jape-stru",
                 dataset="tiny", results=None, timing=None, losses=None,
                 seconds=None, hits1=None, health=None,
-                peak_bytes=0) -> Path:
+                peak_bytes=0, version=None) -> Path:
     record = RunRecord(
         method=method, dataset=dataset, timestamp=timestamp,
-        config={"dim": 64, "seed": 11}, seed=11,
+        config={"dim": 64, "seed": 11}, seed=11, version=version or {},
         results=results or {"H@1": 40.0, "H@10": 70.0, "MRR": 0.5,
                             "fit(s)": 1.0, "eval(s)": 0.1},
         timing=timing or {"fit_seconds": 1.0, "eval_seconds": 0.1,
@@ -212,6 +212,25 @@ class TestDiff:
         b = make_record(tmp_path, 1700003600.0, method="mtranse")
         diff = diff_records(a, b)
         assert any("different workloads" in w for w in diff.warnings)
+
+    def test_blas_configuration_mismatch_warns(self, tmp_path, utc):
+        stamp = {"python": "3.11.14", "blas": "scipy-openblas 0.3.31",
+                 "blas_threads": 2}
+        a = make_record(tmp_path, 1700000000.0, version=stamp)
+        b = make_record(tmp_path, 1700003600.0,
+                        version=dict(stamp, blas_threads=1))
+        same = make_record(tmp_path, 1700007200.0, version=dict(stamp))
+        unstamped = make_record(tmp_path, 1700010800.0)
+        diff = diff_records(a, b)
+        blas = [w for w in diff.warnings if "BLAS configuration" in w]
+        assert blas == ["BLAS configuration differs: scipy-openblas 0.3.31 "
+                        "threads=2 vs scipy-openblas 0.3.31 threads=1; "
+                        "float results may differ in the last bits with "
+                        "no code change"]
+        assert "BLAS configuration differs" in format_diff_text(diff)
+        for other in (same, unstamped):
+            assert not any("BLAS" in w
+                           for w in diff_records(a, other).warnings)
 
     def test_json_reporter_is_machine_readable(self, tmp_path, utc):
         a, b = self.two_seeded(tmp_path)

@@ -211,6 +211,27 @@ class TestExactModeBitwise:
         assert_exact_bitwise(lambda: bigru(x, mask), params,
                              ("gru_sequence",))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gru_sequence_three_calls_per_loss(self, seed):
+        """One BiGRU run three times in one backward, as Algorithm 3 runs
+        anchor, positive and negative through one relation module."""
+        rng = np.random.default_rng(seed)
+        bigru = BiGRU(7, 5, rng)
+        xs = [Tensor(rng.normal(size=(3, 6, 7)), requires_grad=True)
+              for _ in range(3)]
+        masks = []
+        for _ in range(3):
+            mask = np.ones((3, 6), dtype=bool)
+            mask[rng.integers(0, 3), rng.integers(1, 6):] = False
+            masks.append(mask)
+
+        def three_calls():
+            a, p, n = (bigru(x, mask) for x, mask in zip(xs, masks))
+            return a + p + n
+
+        assert_exact_bitwise(three_calls, xs + list(bigru.parameters()),
+                             ("gru_sequence",))
+
     def test_attention_all_kernels(self, rng):
         mha = MultiHeadSelfAttention(16, 4, rng)
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)

@@ -372,6 +372,18 @@ class TestRunRecord:
         assert stamp["repro"] == repro.__version__
         assert "python" in stamp
 
+    def test_version_stamp_names_blas_configuration(self, monkeypatch):
+        import os
+        stamp = version_stamp()
+        assert isinstance(stamp["blas"], str) and stamp["blas"]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        assert version_stamp()["blas_threads"] == 3
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert version_stamp()["blas_threads"] == 5
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert version_stamp()["blas_threads"] == len(os.sched_getaffinity(0))
+
     def test_v2_records_without_shards_still_load(self):
         data = self._record().to_dict()
         data["schema_version"] = 2

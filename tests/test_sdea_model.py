@@ -99,6 +99,32 @@ class TestPreparedEncoder:
         emb = encode_all(prepared.module, prepared.encoder1)
         assert emb.shape == (3, tiny_sdea_config.embed_dim)
 
+    def test_encode_all_matches_padded_entity_order_reference(
+            self, tiny_pair, tiny_sdea_config):
+        """Length-sorted, trimmed blocks == padded blocks in entity order."""
+        from repro.kg.sequences import build_sequences
+        from repro.nn import no_grad
+        texts1 = build_sequences(tiny_pair.kg1)
+        texts2 = build_sequences(tiny_pair.kg2)
+        tiny_sdea_config.max_seq_len = 64
+        prepared = prepare_text_encoder(texts1, texts2, tiny_sdea_config,
+                                        np.random.default_rng(0))
+        encoder, module = prepared.encoder1, prepared.module
+        lengths = encoder.lengths
+        assert lengths.max() < encoder.ids.shape[1]
+        assert not (np.diff(lengths) >= 0).all()
+        module.eval()
+        with no_grad():
+            reference = np.concatenate([
+                module(encoder.ids[start:start + 8],
+                       encoder.mask[start:start + 8]).numpy()
+                for start in range(0, len(encoder), 8)
+            ])
+        module.train()
+        out = encode_all(module, encoder, batch_size=8)
+        assert module.training
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+
     def test_lsa_initialised_token_embeddings(self, tiny_sdea_config):
         texts = ["alpha beta"] * 4
         rng = np.random.default_rng(0)
