@@ -1,8 +1,8 @@
 # Convenience targets for the SDEA reproduction.
 
 .PHONY: install test lint shapecheck check bench bench-hot bench-hot-smoke \
-	bench-compare bench-compare-smoke report obs-demo obs-check \
-	ir-check e2e-smoke profile-demo clean
+	bench-compare-smoke report obs-demo obs-check ir-check e2e-smoke \
+	profile-demo clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -63,11 +63,6 @@ bench-hot:
 # smoke run so the bench harness itself stays green.
 bench-hot-smoke:
 	python benchmarks/bench_hotpath.py --smoke
-
-# Rerun the hot-path bench and fail on >20% GFLOP/s regressions against
-# the committed BENCH_hotpath.json (docs/performance.md).
-bench-compare:
-	python benchmarks/compare_hotpath.py
 
 # Deterministic structural validation of the committed baseline (no
 # timing) — part of `make check`.

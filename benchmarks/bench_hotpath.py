@@ -2,9 +2,9 @@
 
 Times the five op mixes that dominate SDEA wall time — dense matmul,
 softmax, one multi-head-attention step (BERT encoder), one BiGRU step
-(attribute aggregation), and candidate-ranking cosine top-k (Algorithm
-3) — and writes ``BENCH_hotpath.json`` at the repo root so later perf
-PRs have a quantitative baseline to beat (``make bench-hot``).
+(relation module), and candidate-ranking cosine top-k (Algorithm 3) —
+and writes ``BENCH_hotpath.json`` at the repo root so later perf PRs
+have a quantitative baseline to beat (``make bench-hot``).
 
 FLOP counts come from the shared analytic model in
 :mod:`repro.analysis.shapes.flops`: tensor-op workloads are measured by
@@ -121,7 +121,7 @@ def bench_attention() -> Bench:
 
 
 def bench_bigru() -> Bench:
-    # Forward + backward-through-time: the attribute-aggregation
+    # Forward + backward-through-time: the relation module's neighbour
     # recurrence as trained, ~30 autograd nodes per step composed.
     batch, steps, dim, hidden = 8, 16, 32, 32
 
@@ -176,7 +176,7 @@ def bench_softmax_fused() -> Bench:
 
         def run():
             x.grad = None
-            with use_kernels("softmax", mode="fast"):
+            with use_kernels():
                 F.softmax(x, axis=-1).backward(seed)
 
         return run
@@ -195,7 +195,7 @@ def bench_attention_fused() -> Bench:
         x = Tensor(rng.normal(size=(batch, steps, dim)))
 
         def run():
-            with use_kernels(mode="fast"):
+            with use_kernels():
                 return mha(x)
 
         return run
@@ -216,7 +216,7 @@ def bench_bigru_fused() -> Bench:
 
         def run():
             x.grad = None
-            with use_kernels(mode="fast"):
+            with use_kernels():
                 gru(x).backward(seed)
 
         return run
@@ -288,10 +288,11 @@ def bench_cosine_topk_chunked() -> Bench:
 
 # Ordering matters: reference benches run first, in the interpreter's
 # default allocator regime (same conditions as the committed baseline
-# and as an unfused `repro run`).  The first fused bench to enter
-# ``use_kernels`` applies the kernel layer's process-wide allocator
-# tuning (see repro.nn.kernels.alloc), so fused rows measure the full
-# shipped configuration: fused nodes + recycled hot-loop buffers.
+# and as a composed fit outside ``run_experiment``).  The first fused
+# bench to enter ``use_kernels`` applies the kernel layer's
+# process-wide allocator tuning (see repro.nn.kernels.alloc), so fused
+# rows measure the full shipped configuration: fused nodes + recycled
+# hot-loop buffers.
 ALL_BENCHES: List[Callable[[], Bench]] = [
     bench_matmul, bench_softmax, bench_attention, bench_bigru,
     bench_cosine_topk, bench_cosine_topk_chunked, bench_ir_replay,

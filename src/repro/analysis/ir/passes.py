@@ -312,14 +312,14 @@ def _match_softmax_templates(graph: IRGraph,
 _MODULE_KERNELS = (
     # (module-path fragment, witness op, fused kernel to propose)
     ("LayerNorm", "sqrt", "kernels.fused_layer_norm"),
-    ("GRUCell", "sigmoid", "kernels.fused_gru_cell"),
+    ("GRUCell", "sigmoid", "kernels.fused_gru_sequence"),
 )
 
 
 def _match_module_kernels(graph: IRGraph,
                           claimed: Set[int]) -> List[Finding]:
     """Attribution-based matches: composed ops inside modules the fused
-    kernel registry already covers.  Deduped per module path."""
+    kernels already cover.  Deduped per module path."""
     findings = []
     seen: Set[Tuple[str, str]] = set()
     for node in graph.op_nodes():

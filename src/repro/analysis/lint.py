@@ -677,17 +677,17 @@ class SingleElementConcat(Rule):
 
 
 # ---------------------------------------------------------------------- #
-# R010 — hand-composed subgraphs the fused-kernel registry covers
+# R010 — hand-composed subgraphs the fused kernels cover
 # ---------------------------------------------------------------------- #
 @rule
 class ComposedKernelSubgraph(Rule):
     """Composed softmax/log-softmax/layer-norm/GRU in a forward method.
 
-    The fused kernel registry (:mod:`repro.nn.kernels`) implements these
-    with identical gradients and a fraction of the memory traffic; the
+    The fused kernels (:mod:`repro.nn.kernels`) implement these with
+    identical gradients and a fraction of the memory traffic; the
     dynamic IR pass G004 finds the same shapes at runtime.  A composed
     implementation in ``forward`` is either a site that should call the
-    registry-gated helpers (``repro.nn.functional.softmax`` & co.) or a
+    kernel-gated helpers (``repro.nn.functional.softmax`` & co.) or a
     reference fallback — the fallbacks carry a justified
     ``# repro: noqa[R010]``.
     """
@@ -696,7 +696,7 @@ class ComposedKernelSubgraph(Rule):
     name = "composed-kernel-subgraph"
     severity = "warning"
     doc = ("hand-composed softmax/log-softmax/layer-norm/GRU subgraph in "
-           "a forward method; covered by the fused kernel registry "
+           "a forward method; covered by the fused kernels "
            "(repro.nn.kernels) — call the functional helpers, or noqa "
            "for the composed reference path")
 
@@ -784,7 +784,7 @@ class ComposedKernelSubgraph(Rule):
         if sigmoids >= 2 and tanhs >= 1:
             yield (fn, "forward composes GRU-style gates "
                        f"({sigmoids}× sigmoid, {tanhs}× tanh); covered "
-                       "by kernels.fused_gru_cell / fused_gru_sequence")
+                       "by kernels.fused_gru_sequence")
 
 
 # ---------------------------------------------------------------------- #

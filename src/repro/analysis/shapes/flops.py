@@ -84,11 +84,11 @@ def _zero(parents: Sequence[Shape], out: Shape) -> int:
 # --------------------------------------------------------------------- #
 
 def _gru_fused_flops(parents: Sequence[Shape], out: Shape) -> int:
-    # Parents lead with x: (B, D) for the cell, (B, T, D) for the
-    # sequence kernel; out is (B, H) / (B, T, H).  Per output element:
-    # three matmul contractions (x-projection to 3H, h-projection to 2H,
-    # candidate (r*h) projection to H -> 6D + 6H multiply-adds) plus two
-    # sigmoids, one tanh and the gate/blend arithmetic (~22 FLOPs).
+    # Parents lead with x: (B, T, D); out is (B, T, H).  Per output
+    # element: three matmul contractions (x-projection to 3H,
+    # h-projection to 2H, candidate (r*h) projection to H -> 6D + 6H
+    # multiply-adds) plus two sigmoids, one tanh and the gate/blend
+    # arithmetic (~22 FLOPs).
     if not parents or not parents[0] or not out:
         return 0
     d_in = int(parents[0][-1])
@@ -146,7 +146,6 @@ FLOP_FORMULAS: Dict[str, Callable[[Sequence[Shape], Shape], int]] = {
     "max": _in_elems,
     "mean": _mean_flops,
     # fused kernels (single autograd node = whole composed subgraph)
-    "fused_gru_cell": _gru_fused_flops,
     "fused_gru_sequence": _gru_fused_flops,
     "fused_softmax": _softmax_fused_flops,
     "fused_log_softmax": _log_softmax_fused_flops,

@@ -105,11 +105,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         anomaly_ctx = detect_anomaly()
     else:
         anomaly_ctx = nullcontext()
-    if args.no_fused:
-        kernel_ctx = nullcontext()
-    else:
-        from .nn.kernels import use_kernels
-        kernel_ctx = use_kernels()
     # --health-gate arms the rule engine (defaults when no rules file);
     # --health-rules alone evaluates + reports without gating the exit.
     rule_texts: Optional[List[str]] = None
@@ -136,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with obs.session(runs_dir=args.runs_dir, profile=args.profile,
                      telemetry=telemetry_on,
                      health_rules=rule_texts) as sess, \
-            anomaly_ctx, kernel_ctx, ir_ctx:
+            anomaly_ctx, ir_ctx:
         try:
             result = run_experiment(args.method, pair, split,
                                     with_stable_matching=args.stable)
@@ -624,11 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--detect-anomaly", action="store_true",
                      help="raise with op provenance on the first NaN/Inf "
                           "in a forward value or backward gradient")
-    run.add_argument("--no-fused", action="store_true",
-                     help="disable the fused autograd kernels (packed-gate "
-                          "GRU, fused softmax/LayerNorm) and run the "
-                          "composed reference ops instead — see "
-                          "docs/performance.md")
     run.add_argument("--profile", action="store_true",
                      help="op-level autograd profiling: per-op wall time, "
                           "FLOP estimates, forward/backward split, "

@@ -67,15 +67,6 @@ class SDEAConfig:
         provenance and the first NaN/Inf in a forward value or backward
         gradient raises with the originating op's stack snippet
         (substitute for ``torch.autograd.set_detect_anomaly``).
-    fused_kernels:
-        Run fit/evaluate under :func:`repro.nn.kernels.use_kernels`:
-        the BiGRU recurrence, softmax family and LayerNorm execute as
-        single fused autograd nodes with analytic backwards instead of
-        composed per-op graphs (several-fold faster on the hot paths;
-        see ``docs/performance.md``).  Runs the kernels' ``exact``
-        backward mode: outputs *and* gradients — and therefore whole
-        training trajectories — are bit-for-bit identical to the
-        reference path.
     seed:
         Master seed for all RNGs.
     """
@@ -109,7 +100,6 @@ class SDEAConfig:
     numeric_weight: float = 0.3
     health_rules: tuple = ()
     detect_anomaly: bool = False
-    fused_kernels: bool = False
     seed: int = 17
 
     def __post_init__(self):

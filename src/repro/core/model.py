@@ -24,14 +24,12 @@ Typical usage::
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..align.evaluator import EvaluationResult, evaluate_embeddings
-from ..nn.kernels import use_kernels
 from ..kg.pair import AlignmentSplit, KGPair, Link
 from ..kg.sequences import build_sequences
 from ..text.tokenizer import WordPieceTokenizer
@@ -70,10 +68,6 @@ class SDEA:
         self._numeric2: Optional[np.ndarray] = None
         self._pair: Optional[KGPair] = None
 
-    def _kernel_context(self):
-        """Fused-kernel activation when configured, else a no-op."""
-        return use_kernels() if self.config.fused_kernels else nullcontext()
-
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
@@ -89,11 +83,6 @@ class SDEA:
             Train/valid/test partition of the links; defaults to the
             paper's 2:1:7 split.
         """
-        with self._kernel_context():
-            return self._fit(pair, split)
-
-    def _fit(self, pair: KGPair, split: Optional[AlignmentSplit]
-             ) -> FitResult:
         config = self.config
         split = split or pair.split()
         self._pair = pair
@@ -155,8 +144,7 @@ class SDEA:
             raise RuntimeError("fit() must be called before embeddings()")
         if self.config.use_relation:
             assert self.relation_model is not None
-            with self._kernel_context():
-                base = self.relation_model.embed_all(side)
+            base = self.relation_model.embed_all(side)
         else:
             base = self._attr1 if side == 1 else self._attr2
         if self.config.numeric_channel:

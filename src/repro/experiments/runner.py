@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..align.evaluator import EvaluationResult
 from ..kg.pair import AlignmentSplit, KGPair
+from ..nn.kernels import use_kernels
 from ..obs import events, trace
 from ..obs import telemetry as telemetry_mod
 from ..obs.runrecord import RunRecord, _slug, write_record
@@ -250,6 +251,10 @@ def run_experiment(method_name: str, pair: KGPair,
                    with_stable_matching: bool = False) -> ExperimentResult:
     """Fit ``method_name`` on the pair's train split; evaluate on test.
 
+    Fit and evaluate run on the fused autograd kernels
+    (:func:`repro.nn.kernels.use_kernels`), whose outputs and gradients
+    are bit-for-bit those of the composed ops.
+
     Inside ``obs.session(telemetry=True)`` (or with health rules armed)
     the whole run streams live events — ``run_start``, per-epoch
     ``epoch`` / ``validation``, ``eval``, ``run_end`` — to an
@@ -278,7 +283,8 @@ def run_experiment(method_name: str, pair: KGPair,
                 train=len(split.train), valid=len(split.valid),
                 test=len(split.test),
             )
-            with trace.span("run", method=method_name, dataset=pair.name):
+            with trace.span("run", method=method_name, dataset=pair.name), \
+                    use_kernels():
                 fit_start = time.perf_counter()
                 telemetry_mod.emit("phase", name="fit")
                 with trace.span("fit"):

@@ -26,7 +26,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     :mod:`repro.nn.kernels`); the composed path below is the reference
     the kernel is validated against.
     """
-    if kernel_active("softmax"):
+    if kernel_active():
         return fused_softmax(x, axis=axis)
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
@@ -35,7 +35,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax along ``axis``."""
-    if kernel_active("log_softmax"):
+    if kernel_active():
         return fused_log_softmax(x, axis=axis)
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
@@ -54,7 +54,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     ignore_index:
         Target value whose rows contribute zero loss (e.g. padding).
     """
-    if kernel_active("cross_entropy"):
+    if kernel_active():
         return fused_cross_entropy(logits, targets,
                                    ignore_index=ignore_index)
     targets = np.asarray(targets)

@@ -26,13 +26,16 @@ __all__ = ["tune_allocator"]
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
+#: The value both thresholds are raised to (64 MiB).
+_THRESHOLD_BYTES = 1 << 26
+
 # Once-per-process latch.  Locked so two threads entering their first
 # use_kernels() concurrently cannot both run the mallopt sequence.
 _TUNE_LOCK = threading.Lock()
 _tuned = False
 
 
-def tune_allocator(threshold_bytes: int = 1 << 26) -> bool:
+def tune_allocator() -> bool:
     """Raise glibc's mmap/trim thresholds; idempotent per process.
 
     Returns ``True`` if the thresholds were (already) applied, ``False``
@@ -45,8 +48,8 @@ def tune_allocator(threshold_bytes: int = 1 << 26) -> bool:
         import ctypes
         try:
             libc = ctypes.CDLL("libc.so.6", use_errno=True)
-            libc.mallopt(_M_MMAP_THRESHOLD, threshold_bytes)
-            libc.mallopt(_M_TRIM_THRESHOLD, threshold_bytes)
+            libc.mallopt(_M_MMAP_THRESHOLD, _THRESHOLD_BYTES)
+            libc.mallopt(_M_TRIM_THRESHOLD, _THRESHOLD_BYTES)
         except (OSError, AttributeError):
             return False
         _tuned = True

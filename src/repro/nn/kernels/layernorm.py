@@ -1,16 +1,11 @@
-"""Fused LayerNorm kernel with dual-mode backward.
+"""Fused LayerNorm kernel.
 
 The composed reference (:class:`repro.nn.layers.LayerNorm`) builds ~10
 autograd nodes per call (mean, center, variance, sqrt, divide, scale,
 shift).  This kernel is one node over the same arithmetic: the forward
 replicates the reference numpy ops (bitwise-identical output) and the
-backward either replays the composed graph's float operations in the
-engine's dispatch order (``"exact"`` mode — bit-for-bit gradients) or
-applies the textbook closed form (``"fast"`` mode)
-
-``dx = (dŷ − mean(dŷ) − x̂ ⊙ mean(dŷ ⊙ x̂)) / sqrt(σ² + ε)``
-
-with ``dŷ = g ⊙ γ`` and reductions over the final axis.
+backward replays the composed graph's float operations in the engine's
+dispatch order (bit-for-bit gradients).
 """
 
 from __future__ import annotations
@@ -18,16 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor, _unbroadcast
-from .registry import kernel_mode, register_kernel
 
 __all__ = ["fused_layer_norm"]
 
 
-@register_kernel("layer_norm")
 def fused_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                      eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the final axis as one autograd node."""
-    exact = kernel_mode() == "exact"
     dim = x.shape[-1]
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
@@ -40,42 +32,25 @@ def fused_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     out += beta.data
     gamma_data = gamma.data
 
-    def _param_grads(g):
+    def backward(g):
         # The leading-axes reductions _unbroadcast performs for the
         # (dim,)-shaped gamma/beta parents of the composed graph.
         lead = tuple(range(g.ndim - 1))
         dgamma = (g * normed).sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        return dgamma, dbeta
-
-    if exact:
-
-        def backward(g):
-            # Replay of the composed chain in the engine's dispatch
-            # order: scale -> divide -> sqrt -> +eps -> mean -> square
-            # (two identical contributions) -> center -> mean.
-            dgamma, dbeta = _param_grads(g)
-            gnd = g * gamma_data
-            gce = gnd / std
-            gst = _unbroadcast(-gnd * centered / (std ** 2), std.shape)
-            gv = gst / (2.0 * std)
-            gsq = np.broadcast_to(gv / dim, centered.shape)
-            tmp = gsq * centered
-            gce = gce + tmp
-            gce = gce + tmp
-            gm = _unbroadcast(-gce, mean.shape)
-            gx = gce + np.broadcast_to(gm / dim, gce.shape)
-            return (gx, dgamma, dbeta)
-    else:
-
-        def backward(g):
-            dgamma, dbeta = _param_grads(g)
-            dnormed = np.multiply(g, gamma_data)
-            inner = (dnormed * normed).mean(axis=-1, keepdims=True)
-            gx = dnormed
-            gx -= dnormed.mean(axis=-1, keepdims=True)
-            gx -= normed * inner
-            gx /= std
-            return (gx, dgamma, dbeta)
+        # Replay of the composed chain in the engine's dispatch
+        # order: scale -> divide -> sqrt -> +eps -> mean -> square
+        # (two identical contributions) -> center -> mean.
+        gnd = g * gamma_data
+        gce = gnd / std
+        gst = _unbroadcast(-gnd * centered / (std ** 2), std.shape)
+        gv = gst / (2.0 * std)
+        gsq = np.broadcast_to(gv / dim, centered.shape)
+        tmp = gsq * centered
+        gce = gce + tmp
+        gce = gce + tmp
+        gm = _unbroadcast(-gce, mean.shape)
+        gx = gce + np.broadcast_to(gm / dim, gce.shape)
+        return (gx, dgamma, dbeta)
 
     return x._make_child(out, (x, gamma, beta), backward)

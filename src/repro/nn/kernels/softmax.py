@@ -1,4 +1,4 @@
-"""Fused softmax-family kernels with dual-mode backwards.
+"""Fused softmax-family kernels.
 
 The composed reference in :mod:`repro.nn.functional` builds 4–7 autograd
 nodes per call (shift, exp, sum, div, ...); at attention sizes the
@@ -7,20 +7,12 @@ dispatch overhead dwarfs the arithmetic (softmax ran at 0.32 GFLOP/s vs
 autograd node whose forward replicates the reference numpy arithmetic
 op-for-op in-place (bitwise-identical outputs, fewer temporaries).
 
-The backward runs in one of two flavours, chosen by the active
-``use_kernels(mode=...)`` context at forward time:
-
-* ``"exact"`` replays the composed graph's float operations in the
-  engine's dispatch order — gradients are bit-for-bit identical to the
-  unfused path.  The reference softmax/log-softmax *detach* the
-  row-max (it is wrapped in a fresh constant ``Tensor``), so the
-  composed backward is exactly the sub → exp → sum → div chain and can
-  be replayed without a max-mask term.
-* ``"fast"`` uses the hand-derived closed form with in-place updates:
-
-  - softmax:      ``dx = y ⊙ (g − Σ(g ⊙ y))``
-  - log-softmax:  ``dx = g − softmax(x) ⊙ Σ g``
-  - cross-entropy over logits: ``dx = (softmax(x) − onehot) / N`` rows.
+The backward replays the composed graph's float operations in the
+engine's dispatch order, so gradients are bit-for-bit identical to the
+unfused path.  The reference softmax/log-softmax *detach* the row-max
+(it is wrapped in a fresh constant ``Tensor``), so the composed
+backward is exactly the sub → exp → sum → div chain and can be replayed
+without a max-mask term.
 """
 
 from __future__ import annotations
@@ -30,62 +22,38 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import Tensor, _unbroadcast
-from .registry import kernel_mode, register_kernel
 
 __all__ = ["fused_softmax", "fused_log_softmax", "fused_cross_entropy"]
 
 
-@register_kernel("softmax")
 def fused_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis`` as one autograd node."""
-    exact = kernel_mode() == "exact"
     # exp(x - max) computed in the single ``exp`` buffer; the reference
     # allocates shift and exp separately but in-place ufuncs produce the
     # same bits.
     exp = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
     np.exp(exp, out=exp)
     denom = exp.sum(axis=axis, keepdims=True)
-    if exact:
-        out = exp / denom  # keep ``exp`` intact for the exact backward
+    out = exp / denom  # keep ``exp`` intact for the backward
 
-        def backward(g):
-            # Composed dispatch order: div assigns e's grad (g / denom)
-            # and denom's grad (unbroadcast(-g * e / denom**2)), then the
-            # sum node broadcasts denom's grad back onto e, then exp
-            # multiplies by e; the detached-max sub passes through.
-            ge = g / denom
-            tmp = np.negative(g)
-            tmp *= exp
-            tmp /= denom ** 2
-            ge += _unbroadcast(tmp, denom.shape)
-            ge *= exp
-            return (ge,)
-    else:
-        np.divide(exp, denom, out=exp)
-        out = exp
-
-        def backward(g):
-            if axis == -1 or axis == g.ndim - 1:
-                # Single fused read of g and y, no (n, m) temporary.
-                if g.ndim == 2:
-                    inner = np.einsum("ij,ij->i", g, out)[:, None]
-                else:
-                    inner = np.einsum("...i,...i->...", g, out)[..., None]
-                dx = np.subtract(g, inner)
-            else:
-                dx = np.multiply(g, out)
-                inner = dx.sum(axis=axis, keepdims=True)
-                np.subtract(g, inner, out=dx)
-            dx *= out
-            return (dx,)
+    def backward(g):
+        # Composed dispatch order: div assigns e's grad (g / denom)
+        # and denom's grad (unbroadcast(-g * e / denom**2)), then the
+        # sum node broadcasts denom's grad back onto e, then exp
+        # multiplies by e; the detached-max sub passes through.
+        ge = g / denom
+        tmp = np.negative(g)
+        tmp *= exp
+        tmp /= denom ** 2
+        ge += _unbroadcast(tmp, denom.shape)
+        ge *= exp
+        return (ge,)
 
     return x._make_child(out, (x,), backward)
 
 
-@register_kernel("log_softmax")
 def fused_log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax along ``axis`` as one node."""
-    exact = kernel_mode() == "exact"
     shifted = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
     exp = np.exp(shifted)
     denom = exp.sum(axis=axis, keepdims=True)
@@ -93,31 +61,20 @@ def fused_log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = shifted
     out -= np.log(denom)
 
-    if exact:
-
-        def backward(g):
-            # Composed order: the outer sub assigns g to ``shifted`` and
-            # -g (summed) to log(denom); the log/sum/exp chain then adds
-            # broadcast(g_denom / denom) * exp onto ``shifted``'s grad.
-            tmp = np.negative(g)
-            gdenom = _unbroadcast(tmp, denom.shape)
-            gdenom /= denom
-            np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
-            tmp += g
-            return (tmp,)
-    else:
-
-        def backward(g):
-            softmax = exp / denom
-            gsum = g.sum(axis=axis, keepdims=True)
-            softmax *= gsum
-            np.subtract(g, softmax, out=softmax)
-            return (softmax,)
+    def backward(g):
+        # Composed order: the outer sub assigns g to ``shifted`` and
+        # -g (summed) to log(denom); the log/sum/exp chain then adds
+        # broadcast(g_denom / denom) * exp onto ``shifted``'s grad.
+        tmp = np.negative(g)
+        gdenom = _unbroadcast(tmp, denom.shape)
+        gdenom /= denom
+        np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
+        tmp += g
+        return (tmp,)
 
     return x._make_child(out, (x,), backward)
 
 
-@register_kernel("cross_entropy")
 def fused_cross_entropy(logits: Tensor, targets: np.ndarray,
                         ignore_index: Optional[int] = None) -> Tensor:
     """Mean cross-entropy over ``(N, C)`` logits as one autograd node.
@@ -126,7 +83,6 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray,
     the ``ignore_index`` row-masking semantics, but the entire
     log-softmax → gather → mean pipeline collapses to a single node.
     """
-    exact = kernel_mode() == "exact"
     targets = np.asarray(targets)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
@@ -146,30 +102,17 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray,
     count = float(len(rows))
     out = np.asarray(-picked.sum() / count)
 
-    if exact:
-
-        def backward(g):
-            # Composed chain: div -> neg -> sum -> getitem scatter, then
-            # the exact log-softmax backward with the scattered grad.
-            gpick = np.broadcast_to(-(g / count), (len(rows),))
-            full = np.zeros_like(logits.data)
-            np.add.at(full, (rows, picked_targets), gpick)
-            tmp = np.negative(full)
-            gdenom = _unbroadcast(tmp, denom.shape)
-            gdenom /= denom
-            np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
-            tmp += full
-            return (tmp,)
-    else:
-
-        def backward(g):
-            grad = exp[rows] / denom[rows]        # softmax of counted rows
-            grad[np.arange(len(rows)), picked_targets] -= 1.0
-            grad *= float(g) / count
-            if len(rows) == n:
-                return (grad,)
-            full = np.zeros_like(logits.data)
-            full[rows] = grad
-            return (full,)
+    def backward(g):
+        # Composed chain: div -> neg -> sum -> getitem scatter, then
+        # the log-softmax backward with the scattered grad.
+        gpick = np.broadcast_to(-(g / count), (len(rows),))
+        full = np.zeros_like(logits.data)
+        np.add.at(full, (rows, picked_targets), gpick)
+        tmp = np.negative(full)
+        gdenom = _unbroadcast(tmp, denom.shape)
+        gdenom /= denom
+        np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
+        tmp += full
+        return (tmp,)
 
     return logits._make_child(out, (logits,), backward)

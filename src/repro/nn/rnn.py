@@ -20,7 +20,7 @@ import numpy as np
 
 from . import init
 from ..analysis.shapes.spec import shape_spec
-from .kernels import fused_gru_cell, fused_gru_sequence, kernel_active
+from .kernels import fused_gru_sequence, kernel_active
 from .module import Module, Parameter
 from .tensor import DEFAULT_DTYPE, Tensor, concatenate, stack, where
 
@@ -31,8 +31,8 @@ class GRUCell(Module):
     Parameters are stored per-gate (``w_r``/``u_r``/``b_r``, ...), which
     keeps state dicts and tests readable; a GRU call packs them once into
     ``(D_in, 3H)`` / ``(H, 3H)`` matrices via :meth:`packed_gates`, which
-    the fused kernels (see :mod:`repro.nn.kernels`) take whole and the
-    composed loop slices per gate (:meth:`gate_slices`).
+    the fused sequence kernel (see :mod:`repro.nn.kernels`) takes whole
+    and the composed loop slices per gate (:meth:`gate_slices`).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -71,19 +71,14 @@ class GRUCell(Module):
                      (slice(0, hid), slice(hid, two), slice(two, None)))
 
     @shape_spec(x="b input_dim", h_prev="b hidden_dim", returns="b hidden_dim")
-    def forward(self, x: Tensor, h_prev: Tensor,  # repro: noqa[R010] reference fallback for fused_gru_cell
+    def forward(self, x: Tensor, h_prev: Tensor,  # repro: noqa[R010] reference loop for fused_gru_sequence
                 gates: Optional[tuple] = None) -> Tensor:
         """Advance one step: ``(B, D_in), (B, D_h) -> (B, D_h)``.
 
         ``gates`` lets the GRU loop share one set of weights across its
-        steps: a :meth:`packed_gates` result for the fused cell, or its
-        :meth:`gate_slices` for the composed step.  Without it the fused
-        cell packs the parameters and the composed step uses them as
-        they are.
+        steps, as the :meth:`gate_slices` of one :meth:`packed_gates`
+        result; without it the step uses the parameters as they are.
         """
-        if kernel_active("gru_cell"):
-            w, u, b = gates if gates is not None else self.packed_gates()
-            return fused_gru_cell(x, h_prev, w, u, b)
         (w_r, u_r, b_r), (w_z, u_z, b_z), (w_h, u_h, b_h) = (
             gates if gates is not None else
             ((self.w_r, self.u_r, self.b_r), (self.w_z, self.u_z, self.b_z),
@@ -129,15 +124,14 @@ class GRU(Module):
         # One packed node per call on every path: the call's parameter
         # gradient is summed there before the per-gate leaves see it, so
         # several calls in one backward group the leaf sums alike and the
-        # fused kernels stay bit-for-bit equal to the composed loop.
+        # fused kernel stays bit-for-bit equal to the composed loop.
         w, u, b = self.cell.packed_gates()
-        if kernel_active("gru_sequence"):
+        if kernel_active():
             # Whole recurrence as one autograd node: T steps of ~30 ops
             # collapse to a single hand-derived backward-through-time.
             return fused_gru_sequence(x, mask, w, u, b,
                                       reverse=self.reverse)
-        gates = ((w, u, b) if kernel_active("gru_cell")
-                 else self.cell.gate_slices(w, u, b))
+        gates = self.cell.gate_slices(w, u, b)
         order = range(steps - 1, -1, -1) if self.reverse else range(steps)
         h = Tensor(np.zeros((batch, self.hidden_dim), dtype=DEFAULT_DTYPE))
         outputs: list[Optional[Tensor]] = [None] * steps

@@ -109,7 +109,7 @@ class TestThreadSafetyPins:
 
         def holder():
             with use_kernels():
-                inner["held"] = kernel_active("softmax")
+                inner["held"] = kernel_active()
                 entered.set()
                 release.wait(timeout=10)
 
@@ -118,13 +118,13 @@ class TestThreadSafetyPins:
         assert entered.wait(timeout=10)
         try:
             # The other thread is inside use_kernels; this one must not be.
-            assert kernel_active("softmax") is False
+            assert kernel_active() is False
             assert inner["held"] is True
         finally:
             release.set()
             t.join(timeout=10)
         assert not t.is_alive()
-        assert kernel_active("softmax") is False
+        assert kernel_active() is False
 
     def test_signature_cache_is_locked_and_bounded(self):
         from repro.analysis.shapes.spec import (
