@@ -38,10 +38,11 @@ obs-demo:
 obs-check:
 	python benchmarks/obs_check.py
 
-# Training-step IR pipeline end-to-end: capture one fwd+bwd step of two
-# gate-clean methods, assert zero gating G-findings, a consistent
-# liveness plan (planned <= eager <= measured peak) and a bit-for-bit
-# replay against eager (part of `make check`).
+# Training-step IR pipeline end-to-end: capture every training phase of
+# two gate-clean baselines (zero gating G-findings) and of SDEA (three
+# phases, zero error findings), assert a consistent liveness plan
+# (planned <= eager <= measured peak) and a bit-for-bit replay against
+# eager (part of `make check`).
 ir-check:
 	python benchmarks/ir_check.py
 

@@ -1,16 +1,12 @@
 """repro.analysis — correctness tooling for the numpy autograd stack.
 
-Five parts (see ``docs/static_analysis.md``):
+Four parts (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — AST-based lint framework with
   repo-specific rules (in-place ``Tensor.data`` mutation, unseeded
   ``np.random``, ``super().__init__()`` ordering, ...), per-rule
   severities, ``# repro: noqa[RULE]`` suppressions and text/JSON
   reporters.  Exposed as ``repro lint``.
-* :mod:`repro.analysis.graphcheck` — dynamic checker that walks a built
-  autograd graph from a loss tensor and reports detached subgraphs,
-  parameters that receive no gradient, shape/dtype inconsistencies and
-  double-backward hazards.  Exposed as ``repro check-model``.
 * :mod:`repro.analysis.anomaly` — opt-in NaN/Inf sanitizer (à la
   ``torch.autograd.set_detect_anomaly``) that records op provenance and
   raises with the originating op's stack snippet.  Exposed as
@@ -23,11 +19,13 @@ Five parts (see ``docs/static_analysis.md``):
   whole-model interpreter lives in
   :mod:`repro.analysis.shapes.interpreter` and is imported lazily —
   it depends on ``repro.core``/``repro.baselines``.)
-* :mod:`repro.analysis.ir` — training-step IR: captures one fwd+bwd
-  step into an SSA-style op graph, runs compiler-style passes
-  (liveness/memory planning, dead ops, dropped gradients, fusion
-  legality, value CSE, dtype escapes — codes G001–G006) and verifies
-  the IR with a bit-for-bit replay executor.  Exposed as ``repro ir``.
+* :mod:`repro.analysis.ir` — training-step IR: captures one clean
+  fwd+bwd step of each training phase into an SSA-style op graph, runs
+  compiler-style passes (liveness/memory planning, dead ops, fusion
+  legality, value CSE, dtype escapes, and the gradient checks: detached
+  loss, parameters outside the graph, dropped, stale, wrong-shape,
+  non-finite or all-zero gradients — codes G001–G013) and verifies the
+  IR with a bit-for-bit replay executor.  Exposed as ``repro ir``.
   (Imported lazily like the shape interpreter — capturing a method
   pulls in ``repro.core``.)
 
@@ -41,17 +39,8 @@ from .findings import (
     Finding,
     count_findings,
     filter_findings,
-    findings_to_json,
     format_findings_text,
     gate_findings,
-)
-from .graphcheck import (
-    GraphCaptureHarness,
-    GraphIssue,
-    GraphReport,
-    check_graph,
-    check_method,
-    walk_graph,
 )
 from .lint import (
     LintReport,
@@ -82,9 +71,7 @@ __all__ = [
     "Rule", "Violation", "LintReport",
     "all_rules", "lint_source", "lint_paths", "format_text", "format_json",
     "Finding", "GATING_SEVERITIES", "gate_findings", "count_findings",
-    "filter_findings", "format_findings_text", "findings_to_json",
-    "GraphIssue", "GraphReport", "GraphCaptureHarness",
-    "walk_graph", "check_graph", "check_method",
+    "filter_findings", "format_findings_text",
     "AnomalyError", "OpProvenance", "detect_anomaly", "is_anomaly_enabled",
     "Dim", "DimExpr", "ShapeEnv", "ConstraintError", "enforce_constraints",
     "AbstractTensor", "AbstractShapeError", "SymbolicTrace", "lift_tensor",

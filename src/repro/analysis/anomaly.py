@@ -18,14 +18,15 @@ anomaly raises :class:`AnomalyError` naming the originating op::
     #   File "model.py", line 42, in forward
     #     attn = scores.log()
 
-Wired into training via ``SDEAConfig.detect_anomaly`` and the CLI's
+The mode is an engine observer (:mod:`repro.nn.hooks`), so it composes
+with the op profiler and the IR capture in any order.  Wired into
+training via ``SDEAConfig.detect_anomaly`` and the CLI's
 ``repro run --detect-anomaly``.  The mode costs one ``np.isfinite``
 sweep per op and is therefore opt-in.
 """
 
 from __future__ import annotations
 
-import sys
 import traceback
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from ..nn import tensor as _tensor_module
-from ..nn.tensor import Tensor
+from ..nn.hooks import Observer, register_observer
+from ..obs.attribution import op_name_from_backward
 
 __all__ = ["AnomalyError", "OpProvenance", "detect_anomaly",
            "is_anomaly_enabled"]
@@ -95,16 +97,60 @@ def _describe(array: np.ndarray) -> str:
     return f"{nan} NaN / {inf} Inf over shape {array.shape}"
 
 
+def _where(provenance: Optional[OpProvenance]) -> str:
+    return provenance.format() if provenance else "an untracked op"
+
+
+class _AnomalyObserver(Observer):
+    """Records op provenance and rejects non-finite values."""
+
+    def op_created(self, out, data, parents, backward) -> None:
+        provenance = OpProvenance(op=op_name_from_backward(backward),
+                                  stack=_stack_snippet())
+        out._ctx = provenance
+        if not _finite(out.data):
+            raise AnomalyError(
+                f"NaN/Inf in forward output of {provenance.format()}\n"
+                f"({_describe(out.data)})",
+                provenance=provenance, phase="forward",
+            )
+
+    def node_dispatched(self, node, grad, contributions) -> None:
+        """Check each routed contribution *before* it is merged, so the
+        raising op is exactly the one whose backward produced it."""
+        provenance = node._ctx
+        if not _finite(np.asarray(grad)):
+            raise AnomalyError(
+                f"NaN/Inf in incoming gradient of {_where(provenance)}\n"
+                f"({_describe(np.asarray(grad))})",
+                provenance=provenance, phase="backward",
+            )
+        for index, (parent, contribution) in enumerate(
+                zip(node._parents, contributions)):
+            if contribution is None or not (
+                parent.requires_grad or parent._backward is not None
+            ):
+                continue
+            if not _finite(np.asarray(contribution)):
+                raise AnomalyError(
+                    f"NaN/Inf in gradient produced by backward of "
+                    f"{_where(provenance)}\n"
+                    f"(contribution to parent {index} of shape "
+                    f"{parent.shape}: {_describe(np.asarray(contribution))})",
+                    provenance=provenance, phase="backward",
+                )
+
+
 class _AnomalyState:
-    """Process-global patch state; reference-counted for nesting."""
+    """Process-global registration, reference-counted for nesting."""
 
     def __init__(self) -> None:
         self.depth = 0
-        self.original_make_child = None
-        self.original_dispatch = None
+        self.handle = None
 
 
 _STATE = _AnomalyState()
+_OBSERVER = _AnomalyObserver()
 
 
 def is_anomaly_enabled() -> bool:
@@ -112,74 +158,17 @@ def is_anomaly_enabled() -> bool:
     return _STATE.depth > 0
 
 
-def _wrapped_make_child(self, data, parents, backward):
-    """Op-creation hook: record provenance, reject non-finite outputs."""
-    out = _STATE.original_make_child(self, data, parents, backward)
-    op = sys._getframe(1).f_code.co_name
-    provenance = OpProvenance(op=op, stack=_stack_snippet())
-    out._ctx = provenance
-    if not _finite(out.data):
-        raise AnomalyError(
-            f"NaN/Inf in forward output of {provenance.format()}\n"
-            f"({_describe(out.data)})",
-            provenance=provenance, phase="forward",
-        )
-    return out
-
-
-def _wrapped_dispatch(self, grad, grads):
-    """Backward hook: reject non-finite gradient contributions.
-
-    Mirrors ``Tensor._backward_dispatch``'s routing so each parent
-    contribution can be checked *before* it is merged — the raising op
-    is then exactly the one whose backward produced the bad values.
-    """
-    provenance = self._ctx
-    if not _finite(np.asarray(grad)):
-        where = provenance.format() if provenance else "an untracked op"
-        raise AnomalyError(
-            f"NaN/Inf in incoming gradient of {where}\n"
-            f"({_describe(np.asarray(grad))})",
-            provenance=provenance, phase="backward",
-        )
-    contributions = self._backward(grad)
-    for index, (parent, contribution) in enumerate(
-            zip(self._parents, contributions)):
-        if contribution is None or not (
-            parent.requires_grad or parent._backward is not None
-        ):
-            continue
-        if not _finite(np.asarray(contribution)):
-            where = provenance.format() if provenance else "an untracked op"
-            raise AnomalyError(
-                f"NaN/Inf in gradient produced by backward of {where}\n"
-                f"(contribution to parent {index} of shape "
-                f"{parent.shape}: {_describe(np.asarray(contribution))})",
-                provenance=provenance, phase="backward",
-            )
-        key = id(parent)
-        if key in grads:
-            grads[key] = grads[key] + contribution
-        else:
-            grads[key] = contribution
-
-
 class detect_anomaly:
     """Context manager enabling anomaly detection (reentrant)."""
 
     def __enter__(self) -> "detect_anomaly":
         if _STATE.depth == 0:
-            _STATE.original_make_child = Tensor._make_child
-            _STATE.original_dispatch = Tensor._backward_dispatch
-            Tensor._make_child = _wrapped_make_child
-            Tensor._backward_dispatch = _wrapped_dispatch
+            _STATE.handle = register_observer(_OBSERVER)
         _STATE.depth += 1
         return self
 
     def __exit__(self, *exc) -> None:
         _STATE.depth -= 1
         if _STATE.depth == 0:
-            Tensor._make_child = _STATE.original_make_child
-            Tensor._backward_dispatch = _STATE.original_dispatch
-            _STATE.original_make_child = None
-            _STATE.original_dispatch = None
+            _STATE.handle.remove()
+            _STATE.handle = None

@@ -1,18 +1,15 @@
-"""Shared finding/report plumbing for the analysis tools.
+"""Shared finding/report plumbing for the dynamic analysis tools.
 
-``repro check-model`` (graphcheck) and ``repro ir`` both report typed
-findings; before this module each tool carried its own dataclass and
-text/JSON rendering (as :mod:`repro.analysis.lint` and
-:mod:`repro.analysis.shapes` still do for their file- and
-method-anchored formats).  :class:`Finding` is the one record both
-dynamic tools share:
+``repro ir`` reports typed findings through :class:`Finding` (as
+:mod:`repro.analysis.lint` and :mod:`repro.analysis.shapes` do through
+their own file- and method-anchored records):
 
-* graphcheck findings use a bare ``kind`` (``unreachable-parameter``)
-  and render exactly as the historical ``GraphIssue.format`` did —
-  ``[severity] kind: message`` — golden-pinned by the tests;
-* IR findings add a catalogue ``code`` (``G001``–``G006``) and a
+* a finding carries a catalogue ``code`` (``G001``–``G013``) and a
   ``where`` location (module path / node labels), rendering as
-  ``[severity] G004 fusion-opportunity: ... (at Module/Path)``.
+  ``[severity] G004 fusion-opportunity: ... (at Module/Path)``;
+* a finding outside the catalogue (``capture-overflow``) has no code
+  and renders as ``[severity] kind: message`` — both forms are
+  golden-pinned by the tests.
 
 Severities: ``error`` and ``warning`` gate (nonzero exit, counted by
 :func:`gate_findings`); ``info`` records optimisation opportunities
@@ -21,13 +18,12 @@ that must not fail a build.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "Finding", "GATING_SEVERITIES", "gate_findings", "count_findings",
-    "filter_findings", "format_findings_text", "findings_to_json",
+    "filter_findings", "format_findings_text",
 ]
 
 #: Severities that fail a gate; ``info`` findings are advisory.
@@ -41,7 +37,7 @@ class Finding:
     kind: str           # machine tag: "dead-op", "unreachable-parameter"
     severity: str       # "error" | "warning" | "info"
     message: str
-    code: str = ""      # catalogue code ("G002"); empty for graphcheck
+    code: str = ""      # catalogue code ("G002"); empty outside it
     where: str = ""     # location: module path, node labels, ...
 
     def format(self) -> str:
@@ -107,15 +103,3 @@ def format_findings_text(findings: Sequence[Finding],
     else:
         lines.append(f"{indent}0 findings")
     return "\n".join(lines)
-
-
-def findings_to_json(findings: Sequence[Finding],
-                     extra: Optional[Dict[str, object]] = None) -> str:
-    """Machine-readable rendering (stable key order, shared JSON reporter)."""
-    payload: Dict[str, object] = {
-        "counts": count_findings(findings),
-        "findings": [finding.to_dict() for finding in findings],
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True)

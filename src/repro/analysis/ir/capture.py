@@ -1,18 +1,23 @@
-"""Capture one fwd+bwd training step into an explicit IR graph.
+"""Capture real training steps, one per phase, into explicit IR graphs.
 
-:class:`IRCapture` reuses the three hook points the profiler and
-graphcheck proved out — ``Tensor._make_child`` (forward op stream),
-``Tensor._backward_dispatch`` (backward schedule) and
-``Tensor.backward`` (step delimiter) — plus the shared module-path
-tracker from :mod:`repro.obs.attribution`, and records a *window* of
-grad-tracked ops ending at a ``backward()`` call.
+:class:`IRCapture` is an engine observer (:mod:`repro.nn.hooks`): it
+sees every op created (the forward op stream), every backward node
+dispatch (the backward schedule), every ``Tensor.backward`` call (the
+step delimiter), every optimizer created (its parameter group) and
+every module call (the shared module-path tracker from
+:mod:`repro.obs.attribution`).  It records a *window* of grad-tracked
+ops ending at each ``backward()`` call.
 
-Step selection: the window that starts at install spans arbitrary
-setup work (pre-training phases, data prep), so the harness captures
-the first backward only as a **fallback**, resets the window, and
-prefers the next backward — whose window is exactly one training step
-(zero_grad → forward → backward).  ``StepCapture.clean`` records which
-case happened.
+Step selection follows the training phases.  A step's *signature* is
+the set of gradient leaves its loss reaches; SDEA's MLM pre-training,
+Alg.-2 fine-tuning and relation training each have their own.  The
+window that starts at install spans arbitrary set-up work, so the
+first backward is kept only as a **fallback**; every later window is
+**clean** — it starts at the previous backward, so it holds one step
+(zero_grad → forward → backward) plus any set-up that recorded no
+grad-tracked op.  The harness keeps the first clean step of each
+signature, up to :data:`MAX_CAPTURES` phases.  ``StepCapture.clean``
+records which case happened.
 
 Everything replay needs is snapshotted at capture time: source-tensor
 data (parameters mutate in place under the optimizer), pre/post
@@ -35,11 +40,16 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ...nn.hooks import Observer, register_observer
 from ...nn.tensor import Tensor
 from ...obs.attribution import ModulePathTracker, op_name_from_backward
 from .graph import IRGraph, IRNode
 
-__all__ = ["StepCapture", "IRCapture", "capture_step", "capture_method"]
+__all__ = ["MAX_CAPTURES", "StepCapture", "IRCapture", "capture_step",
+           "capture_method", "tiny_pair", "tiny_method"]
+
+#: Distinct training phases (gradient-leaf sets) one harness keeps.
+MAX_CAPTURES = 8
 
 
 @dataclass
@@ -56,6 +66,9 @@ class StepCapture:
     clean: bool                                 # window = exactly one step
     step_index: int                             # which backward call (0-based)
     method: str = ""
+    #: Parameter group of the optimizer training this step (empty when
+    #: no optimizer created under the harness holds any of its leaves).
+    params: List[Tensor] = field(default_factory=list)
 
     def grad_leaves(self) -> List[IRNode]:
         """Gradient-accumulating sources (trainable leaves)."""
@@ -63,28 +76,29 @@ class StepCapture:
                 if node.requires_grad and not node.has_backward]
 
 
-class IRCapture:
-    """Context manager that records one fwd+bwd step while code runs.
+class IRCapture(Observer):
+    """Engine observer that records one clean step per training phase.
 
     Usage::
 
         with IRCapture() as harness:
             method.fit(pair, split)
-        capture = harness.capture     # None if backward never ran
+        captures = harness.captures   # one per phase, [] if no backward
     """
 
-    def __init__(self, max_ops: int = 200_000, max_attempts: int = 3):
+    def __init__(self, max_ops: int = 200_000):
         self.max_ops = int(max_ops)
-        self.max_attempts = int(max_attempts)
         self.captures: List[StepCapture] = []
+        #: Every optimizer's parameter list, in creation order.
+        self.param_groups: List[List[Tensor]] = []
+        self._held: Dict[frozenset, int] = {}   # signature -> captures index
+        self._pending: Optional[tuple] = None   # the capture in flight
+        self._in_backward = False
         self._done = False
-        self._busy = False
         self._overflowed = False
-        self._window_clean = False
         self._backward_count = 0
         self._paths = ModulePathTracker()
         self._reset_window()
-        self._originals: Dict[str, object] = {}
         self._hook_handle = None
         self._capturing_dispatch = False
         self._dispatch: List[int] = []
@@ -105,51 +119,35 @@ class IRCapture:
     # Install / uninstall
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "IRCapture":
-        from ...nn.module import register_forward_hooks
-
-        harness = self
-        orig_make_child = Tensor._make_child
-        orig_dispatch = Tensor._backward_dispatch
-        orig_backward = Tensor.backward
-
-        def captured_make_child(tensor_self, data, parents, backward):
-            out = orig_make_child(tensor_self, data, parents, backward)
-            if not harness._done and out._backward is not None:
-                harness._record_op(out, parents, data)
-            return out
-
-        def captured_dispatch(tensor_self, grad, grads):
-            if harness._capturing_dispatch:
-                uid = harness._ids.get(id(tensor_self))
-                if uid is None:
-                    uid = harness._register_source(tensor_self)
-                harness._dispatch.append(uid)
-            return orig_dispatch(tensor_self, grad, grads)
-
-        def captured_backward(tensor_self, grad=None):
-            return harness._on_backward(tensor_self, grad, orig_backward)
-
-        self._originals = {
-            "make_child": orig_make_child,
-            "dispatch": orig_dispatch,
-            "backward": orig_backward,
-        }
-        Tensor._make_child = captured_make_child
-        Tensor._backward_dispatch = captured_dispatch
-        Tensor.backward = captured_backward
-        self._hook_handle = register_forward_hooks(
-            pre=self._paths.push, post=lambda module: self._paths.pop()
-        )
+        self._hook_handle = register_observer(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        Tensor._make_child = self._originals["make_child"]
-        Tensor._backward_dispatch = self._originals["dispatch"]
-        Tensor.backward = self._originals["backward"]
-        self._originals = {}
-        if self._hook_handle is not None:
-            self._hook_handle.remove()
-            self._hook_handle = None
+        self._hook_handle.remove()
+
+    # ------------------------------------------------------------------ #
+    # Engine events
+    # ------------------------------------------------------------------ #
+    def module_entered(self, module, args, kwargs) -> None:
+        self._paths.push(module)
+
+    def module_exited(self, module, args, kwargs, out):
+        self._paths.pop()
+        return out
+
+    def optimizer_created(self, optimizer) -> None:
+        self.param_groups.append(list(optimizer.parameters))
+
+    def op_created(self, out, data, parents, backward) -> None:
+        if not self._done and out._backward is not None:
+            self._record_op(out, parents, data)
+
+    def node_dispatched(self, node, grad, contributions) -> None:
+        if self._capturing_dispatch:
+            uid = self._ids.get(id(node))
+            if uid is None:
+                uid = self._register_source(node)
+            self._dispatch.append(uid)
 
     # ------------------------------------------------------------------ #
     # Window recording
@@ -161,7 +159,6 @@ class IRCapture:
         self._backwards: Dict[int, Callable] = {}
         self._nodes: List[IRNode] = []
         self._overflowed = False
-        self._window_clean = self._backward_count > 0
 
     def _next_uid(self) -> int:
         uid = self._uid
@@ -238,33 +235,44 @@ class IRCapture:
     # ------------------------------------------------------------------ #
     # Step delimitation / finalisation
     # ------------------------------------------------------------------ #
-    def _on_backward(self, root: Tensor, grad, orig_backward):
-        if self._done or self._busy:
-            return orig_backward(root, grad)
+    def _signature(self, root_uid: int) -> frozenset:
+        """Identity of the gradient leaves the step's loss reaches."""
+        leaves, seen, stack = set(), set(), [root_uid]
+        while stack:
+            uid = stack.pop()
+            if uid in seen:
+                continue
+            seen.add(uid)
+            node = self._nodes[uid]   # nodes are appended in uid order
+            if node.kind == "leaf":
+                leaves.add(id(self._tensors[uid]))
+            stack.extend(node.parents)
+        return frozenset(leaves)
+
+    def backward_started(self, root, grad) -> None:
+        # The install window spans arbitrary set-up work, and so does a
+        # window whose previous backward raised (the window never reset).
+        clean = self._backward_count > 0 and not self._in_backward
+        self._in_backward = True
+        self._pending = None
+        self._capturing_dispatch = False
+        if self._done:
+            return
         root_uid = self._ids.get(id(root))
         if root_uid is None:
-            # Backward over a graph built before the window (or a bare
-            # leaf): run it, but still treat it as a step boundary.
-            result = orig_backward(root, grad)
-            self._backward_count += 1
-            self._reset_window()
-            return result
-        self._busy = True
-        try:
-            capture = self._finalize(root, root_uid, grad, orig_backward)
-        finally:
-            self._busy = False
-        self._backward_count += 1
-        self.captures.append(capture)
-        if capture.clean or len(self.captures) >= self.max_attempts:
-            self._done = True
-        self._reset_window()
-        return None  # Tensor.backward returns None
-
-    def _finalize(self, root: Tensor, root_uid: int, grad,
-                  orig_backward) -> StepCapture:
-        seed = np.ones_like(root.data) if grad is None \
-            else np.asarray(grad, dtype=np.float64)
+            if root.requires_grad:
+                return  # a graph built before the window, or a bare leaf
+            # A detached loss: the backward about to run is a no-op.
+            root_uid = self._register_source(root)
+        signature = self._signature(root_uid)
+        held = self._held.get(signature)
+        if held is None:
+            keep = len(self.captures) < MAX_CAPTURES
+        else:
+            keep = clean and not self.captures[held].clean
+        if not keep:
+            return
+        self._pending = (root_uid, signature, clean)
         self._grads_before = {}
         for node in self._nodes:
             if node.requires_grad and not node.has_backward:
@@ -273,11 +281,45 @@ class IRCapture:
                     None if t.grad is None else t.grad.copy()
         self._dispatch = []
         self._capturing_dispatch = not self._overflowed
-        try:
-            orig_backward(root, grad)
-        finally:
-            self._capturing_dispatch = False
 
+    def backward_finished(self, root, grad) -> None:
+        self._in_backward = False
+        self._capturing_dispatch = False
+        if self._pending is not None:
+            root_uid, signature, clean = self._pending
+            self._pending = None
+            capture = self._finalize(root_uid, grad, signature, clean)
+            held = self._held.get(signature)
+            if held is None:
+                self._held[signature] = len(self.captures)
+                self.captures.append(capture)
+            else:
+                self.captures[held] = capture
+            self._done = len(self.captures) >= MAX_CAPTURES and \
+                all(cap.clean for cap in self.captures)
+        self._backward_count += 1
+        self._reset_window()
+
+    def _param_group(self, signature: frozenset) -> List[Tensor]:
+        """The optimizer group that best matches the step's leaves.
+
+        Largest overlap wins, then the highest contained fraction, then
+        the most recent.  (A stale earlier-phase optimizer may still
+        overlap through shared weights — SDEA's MLM head after
+        pre-training — and must not win, or its frozen parameters
+        would report as missing from the graph.)
+        """
+        best: List[Tensor] = []
+        best_key = (0, 0.0, -1)
+        for index, group in enumerate(self.param_groups):
+            overlap = sum(1 for param in group if id(param) in signature)
+            key = (overlap, overlap / len(group), index)
+            if overlap and key > best_key:
+                best_key, best = key, group
+        return list(best)
+
+    def _finalize(self, root_uid: int, grad, signature: frozenset,
+                  clean: bool) -> StepCapture:
         grads_after: Dict[int, Optional[np.ndarray]] = {}
         source_data: Dict[int, np.ndarray] = {}
         for node in self._nodes:
@@ -299,9 +341,10 @@ class IRCapture:
             source_data=source_data,
             grads_before=dict(self._grads_before),
             grads_after=grads_after,
-            seed_grad=np.array(seed, dtype=np.float64, copy=True),
-            clean=self._window_clean,
+            seed_grad=np.array(grad, dtype=np.float64, copy=True),
+            clean=clean,
             step_index=self._backward_count,
+            params=self._param_group(signature),
         )
 
 
@@ -309,7 +352,7 @@ class IRCapture:
 # Convenience entry points
 # ---------------------------------------------------------------------- #
 def capture_step(fn: Callable[[], object], label: str = "") -> StepCapture:
-    """Run ``fn`` under capture and return the captured step.
+    """Run ``fn`` under capture and return the preferred captured step.
 
     ``fn`` must build a loss and call ``backward()`` at least once.
     """
@@ -325,26 +368,60 @@ def capture_step(fn: Callable[[], object], label: str = "") -> StepCapture:
     return capture
 
 
-def capture_method(method_name: str, pair=None, split=None) -> StepCapture:
-    """Capture one training step of a registered method.
+def tiny_pair():
+    """A ~60-entity synthetic KG pair for second-scale end-to-end runs
+    (the workload of ``repro ir`` and ``repro profile``)."""
+    from ...datasets import ViewConfig, WorldConfig, generate_pair
+    from ...datasets.translation import Language
 
-    Runs the method at unit-test scale on the tiny synthetic pair (the
-    same workload ``repro check-model`` and ``repro profile`` use) and
-    returns the captured step.  Non-gradient (closed-form) methods
-    raise ``RuntimeError``.
+    return generate_pair(
+        WorldConfig(n_persons=24, n_places=10, n_clubs=6, n_countries=3,
+                    seed=5),
+        ViewConfig(side=1, name_style="noisy", seed=6),
+        ViewConfig(side=2, language=Language("zz"), seed=7),
+        name="ir-tiny",
+    )
+
+
+def tiny_method(method_name: str):
+    """Instantiate a registered method, shrinking SDEA to unit-test scale."""
+    if method_name in ("sdea", "sdea-norel"):
+        from ...core.config import SDEAConfig
+        from ...experiments.methods import SDEAAligner, SDEAWithoutRelation
+
+        config = SDEAConfig(
+            bert_dim=32, bert_heads=2, bert_layers=1, bert_ff_dim=64,
+            max_seq_len=32, embed_dim=32, relation_hidden=24,
+            attr_epochs=1, rel_epochs=1, mlm_epochs=1, vocab_size=400,
+            patience=1, seed=1,
+        )
+        if method_name == "sdea-norel":
+            config.use_relation = False
+            return SDEAWithoutRelation(config)
+        return SDEAAligner(config)
+    from ...experiments.methods import make_method
+    return make_method(method_name)
+
+
+def capture_method(method_name: str, pair=None,
+                   split=None) -> List[StepCapture]:
+    """Capture one step of every training phase of a registered method.
+
+    Trains the method at unit-test scale on :func:`tiny_pair` and
+    returns the captures in phase order (SDEA: MLM pre-training, Alg.-2
+    fine-tuning, relation training).  A method that never calls
+    ``backward()`` raises ``RuntimeError``.
     """
-    from ..graphcheck import tiny_check_method, tiny_check_pair
-
-    pair = pair if pair is not None else tiny_check_pair()
+    pair = pair if pair is not None else tiny_pair()
     split = split or pair.split()
-    method = tiny_check_method(method_name)
+    method = tiny_method(method_name)
     with IRCapture() as harness:
         method.fit(pair, split)
-    capture = harness.capture
-    if capture is None:
+    if not harness.captures:
         raise RuntimeError(
             f"method {method_name!r} never called backward() during fit "
             "(closed-form / non-gradient method); nothing to capture"
         )
-    capture.method = method_name
-    return capture
+    for capture in harness.captures:
+        capture.method = method_name
+    return harness.captures

@@ -1,13 +1,14 @@
 """Compiler-style analysis passes over a captured training step.
 
 Each pass inspects the :class:`~repro.analysis.ir.graph.IRGraph` of a
-:class:`~repro.analysis.ir.capture.StepCapture` and emits shared
-:class:`~repro.analysis.findings.Finding` records with a catalogue
-code.  Severities follow the gate policy in
+:class:`~repro.analysis.ir.capture.StepCapture` — and, for G007–G013,
+the optimizer group and the leaf gradients it snapshotted around
+backward — and emits shared :class:`~repro.analysis.findings.Finding`
+records with a catalogue code.  Severities follow the gate policy in
 :mod:`repro.analysis.findings`: ``info`` findings are optimisation
 opportunities that never fail a build; ``warning``/``error`` findings
 gate (``make ir-check`` requires zero of them on its reference
-methods).
+baselines, and zero errors on SDEA).
 
 ==== =================== ======== ==========================================
 code kind                severity meaning
@@ -24,21 +25,34 @@ G005 redundant-recompute warning  same op over the same operands producing a
                                   bit-identical value more than once
 G006 dtype-escape        warning  op produced a dtype the Tensor constructor
                                   silently cast away (hidden copy)
+G007 detached-loss       error    backward ran on a loss that does not
+                                  require grad (a no-op)
+G008 unreachable-        error    parameter of the step's optimizer that the
+     parameter                    loss does not reach
+G009 untracked-          warning  trainable leaf the loss reaches that the
+     trainable-leaf               step's optimizer does not hold
+G010 double-backward-    warning  leaf already held a gradient when
+     hazard                       backward started
+G011 shape-mismatch      error    leaf gradient shaped unlike its leaf
+G012 nonfinite-gradient  error    leaf gradient with NaN/Inf entries
+G013 zero-gradient       warning  backward delivered an all-zero gradient
 ==== =================== ======== ==========================================
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ...nn.tensor import DEFAULT_DTYPE
-from ..findings import Finding, filter_findings, format_findings_text, \
-    findings_to_json, gate_findings
+from ...nn.tensor import DEFAULT_DTYPE, Tensor
+from ..findings import Finding, count_findings, filter_findings, \
+    format_findings_text, gate_findings
 from .capture import StepCapture
 from .graph import IRGraph, IRNode
+from .replay import closure_freevars
 
 __all__ = ["G_CODES", "MemoryPlan", "plan_memory", "run_passes", "IRReport"]
 
@@ -56,6 +70,20 @@ G_CODES = {
              "bit-identical value computed more than once"),
     "G006": ("dtype-escape", "warning",
              "op produced a dtype the engine silently cast away"),
+    "G007": ("detached-loss", "error",
+             "backward ran on a loss that does not require grad"),
+    "G008": ("unreachable-parameter", "error",
+             "optimizer parameter the loss does not reach"),
+    "G009": ("untracked-trainable-leaf", "warning",
+             "trainable leaf the step's optimizer does not hold"),
+    "G010": ("double-backward-hazard", "warning",
+             "gradient already present before backward"),
+    "G011": ("shape-mismatch", "error",
+             "gradient shaped unlike its leaf"),
+    "G012": ("nonfinite-gradient", "error",
+             "NaN/Inf gradient"),
+    "G013": ("zero-gradient", "warning",
+             "all-zero gradient"),
 }
 
 
@@ -392,6 +420,30 @@ def _pass_fusion(capture: StepCapture) -> List[Finding]:
 # ---------------------------------------------------------------------- #
 # G005 — redundant recompute (value CSE)
 # ---------------------------------------------------------------------- #
+def _freeze(value):
+    """Hashable stand-in for a closure attribute: arrays by content,
+    sequences item by item, anything else (axes, slices, flags) by
+    ``repr``."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    return repr(value)
+
+
+def _closure_attrs(backward) -> Tuple:
+    """An op's non-tensor attributes (axes, indices, slices), as held by
+    its backward closure; tensor operands are the node's parents."""
+    attrs = []
+    for name, value in sorted(closure_freevars(backward).items()):
+        if isinstance(value, Tensor) or (
+                isinstance(value, (list, tuple))
+                and any(isinstance(item, Tensor) for item in value)):
+            continue
+        attrs.append((name, _freeze(value)))
+    return tuple(attrs)
+
+
 def _pass_redundant_recompute(capture: StepCapture,
                               limit: int = 10) -> List[Finding]:
     graph = capture.graph
@@ -403,14 +455,15 @@ def _pass_redundant_recompute(capture: StepCapture,
     for (op, _parents, shape, _dtype), nodes in groups.items():
         if len(nodes) < 2:
             continue
-        # Ops can carry hidden attributes (axes, indices) that are not
-        # part of the key, so demand bit-identical outputs before
-        # calling two nodes the same value.
-        by_bytes: Dict[bytes, List[IRNode]] = {}
+        # Two nodes are the same value only if their attributes match
+        # too (different slices of one constant can share every byte)
+        # and their outputs are bit-identical.
+        same: Dict[Tuple, List[IRNode]] = {}
         for node in nodes:
-            by_bytes.setdefault(
-                capture.tensors[node.uid].data.tobytes(), []).append(node)
-        for dupes in by_bytes.values():
+            key = (_closure_attrs(capture.backwards[node.uid]),
+                   capture.tensors[node.uid].data.tobytes())
+            same.setdefault(key, []).append(node)
+        for dupes in same.values():
             if len(dupes) < 2 or len(findings) >= limit:
                 continue
             labels = ", ".join(n.label() for n in dupes[:4])
@@ -453,13 +506,94 @@ def _pass_dtype_escapes(capture: StepCapture,
 
 
 # ---------------------------------------------------------------------- #
-# Pass manager / report
+# G007-G013 — the loss, the optimizer group and the gradients
 # ---------------------------------------------------------------------- #
+def _pass_detached_loss(capture: StepCapture) -> List[Finding]:
+    root = capture.graph.node(capture.graph.root)
+    if root.requires_grad:
+        return []
+    return [_finding(
+        "G007",
+        f"loss {root.label()} shape {root.shape} does not require grad, so "
+        "backward() is a no-op (graph built under no_grad(), or on "
+        "detached inputs)",
+    )]
+
+
+def _pass_optimizer_group(capture: StepCapture) -> List[Finding]:
+    if not capture.params:
+        return []
+    live = capture.graph.live_set()
+    reached = {id(capture.tensors[node.uid]): node
+               for node in capture.grad_leaves() if node.uid in live}
+    held = {id(param) for param in capture.params}
+    findings = []
+    for index, param in enumerate(capture.params):
+        if id(param) not in reached:
+            findings.append(_finding(
+                "G008",
+                f"optimizer parameter #{index} shape {param.shape} is not in "
+                "the loss graph; it never receives a gradient (frozen "
+                "input, detach(), or unused weight)",
+            ))
+    for key, node in reached.items():
+        if key not in held:
+            findings.append(_finding(
+                "G009",
+                f"leaf {node.label()} shape {node.shape} requires grad but "
+                "the step's optimizer does not hold it; its gradient "
+                "accumulates unseen",
+                where=node.module,
+            ))
+    return findings
+
+
+def _pass_gradients(capture: StepCapture) -> List[Finding]:
+    live = capture.graph.live_set()
+    findings: List[Finding] = []
+    stale: List[IRNode] = []
+    for node in capture.grad_leaves():
+        if node.uid not in live:
+            continue
+        before = capture.grads_before.get(node.uid)
+        after = capture.grads_after.get(node.uid)
+        if before is not None:
+            stale.append(node)
+        if after is None:
+            continue  # G003 when nothing arrived at all
+        if after.shape != node.shape:
+            findings.append(_finding(
+                "G011",
+                f"leaf {node.label()} shape {node.shape} received a "
+                f"gradient of shape {after.shape}", where=node.module))
+        elif not np.all(np.isfinite(after)):
+            findings.append(_finding(
+                "G012",
+                f"leaf {node.label()} shape {node.shape} received a NaN/Inf "
+                "gradient", where=node.module))
+        elif (not np.any(after) if before is None
+              else np.array_equal(after, before)):
+            findings.append(_finding(
+                "G013",
+                f"leaf {node.label()} shape {node.shape} received an "
+                "all-zero gradient (dead path: saturated relu, zero mask, "
+                "or a loss that is exactly 0 this step)", where=node.module))
+    if stale:
+        findings.insert(0, _finding(
+            "G010",
+            f"{len(stale)} gradient leaf/leaves already held a gradient "
+            f"when backward started (e.g. {stale[0].label()} shape "
+            f"{stale[0].shape}); backward() accumulates onto it, so call "
+            "zero_grad() between steps"))
+    return findings
+
+
 @dataclass
 class IRReport:
     """Everything ``repro ir`` shows for one captured step."""
 
     method: str
+    step: int                           # which backward call was captured
     graph_summary: Dict[str, object]
     findings: List[Finding]
     plan: MemoryPlan
@@ -472,7 +606,8 @@ class IRReport:
     def to_text(self) -> str:
         s = self.graph_summary
         lines = [
-            f"IR capture: method={self.method or '?'} nodes={s['nodes']} "
+            f"IR capture: method={self.method or '?'} step={self.step} "
+            f"nodes={s['nodes']} "
             f"ops={s['op_nodes']} root=%{s['root']} "
             f"dispatched={s['dispatched']}",
             f"memory plan: eager {self.plan.eager_peak_bytes:,} B -> "
@@ -488,15 +623,21 @@ class IRReport:
         lines.append(format_findings_text(self.findings))
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        extra: Dict[str, object] = {
+    def to_dict(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {
             "method": self.method,
+            "step": self.step,
             "graph": self.graph_summary,
             "plan": self.plan.summary(),
+            "counts": count_findings(self.findings),
+            "findings": [finding.to_dict() for finding in self.findings],
         }
         if self.replay is not None:
-            extra["replay"] = self.replay.summary()
-        return findings_to_json(self.findings, extra=extra)
+            payload["replay"] = self.replay.summary()
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_passes(capture: StepCapture,
@@ -511,11 +652,14 @@ def run_passes(capture: StepCapture,
     findings += _pass_fusion(capture)
     findings += _pass_redundant_recompute(capture)
     findings += _pass_dtype_escapes(capture)
+    findings += _pass_detached_loss(capture)
+    findings += _pass_optimizer_group(capture)
+    findings += _pass_gradients(capture)
     if capture.graph.overflowed:
         findings.append(Finding(
             kind="capture-overflow", severity="warning",
             message="capture hit its op budget; analysis is partial"))
     findings = filter_findings(findings, select=select, ignore=ignore)
-    return IRReport(method=capture.method,
+    return IRReport(method=capture.method, step=capture.step_index,
                     graph_summary=capture.graph.summary(),
                     findings=findings, plan=plan)

@@ -19,14 +19,15 @@ Template grammar (space-separated tokens per argument):
                else in the same call (inputs and returns).
 
 Verification happens only under :func:`verify_module_calls`, which
-patches ``Module.__call__`` for the duration of a shape-check run: after
-each call the declared spec (if any) is compared against the actual
-argument/return shapes (witness sizes, so symbolic dims participate
-transparently) and violations are recorded on the active
-:class:`~.abstract.SymbolicTrace` as ``spec`` events.  The same patch
-lifts floating real-Tensor outputs into :class:`AbstractTensor` so
-models whose inputs are concrete id arrays (Embedding front-ends, the
-MiniBert encoder) go symbolic from the first layer boundary onward.
+registers an engine observer (:mod:`repro.nn.hooks`) for the duration
+of a shape-check run: after each ``Module`` call the declared spec (if
+any) is compared against the actual argument/return shapes (witness
+sizes, so symbolic dims participate transparently) and violations are
+recorded on the active :class:`~.abstract.SymbolicTrace` as ``spec``
+events.  The same observer lifts floating real-Tensor outputs into
+:class:`AbstractTensor` so models whose inputs are concrete id arrays
+(Embedding front-ends, the MiniBert encoder) go symbolic from the first
+layer boundary onward.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import inspect
 import threading
 from typing import Dict, Optional, Tuple
 
+from ...nn.hooks import Observer, register_observer
 from ...nn.tensor import Tensor
 from .abstract import AbstractTensor, SymbolicTrace, lift_tensor
 
@@ -160,37 +162,39 @@ def _bind_arguments(forward, module, args, kwargs) -> Dict[str, object]:
     return dict(bound.arguments)
 
 
-@contextlib.contextmanager
-def verify_module_calls(trace: SymbolicTrace, lift_outputs: bool = True):
-    """Patch ``Module.__call__`` to verify specs and lift outputs.
+class _SpecObserver(Observer):
+    """Verifies each returning module call's spec and lifts its output."""
 
-    Active only inside the context; the original ``__call__`` is always
-    restored.  Imported lazily to keep ``analysis.shapes`` importable
-    while ``repro.nn`` is still initializing.
-    """
-    from ...nn.module import Module
+    def __init__(self, trace: SymbolicTrace, lift_outputs: bool):
+        self.trace = trace
+        self.lift_outputs = lift_outputs
 
-    original = Module.__call__
+    def module_exited(self, module, args, kwargs, out):
+        if out is None:  # forward raised; nothing to verify or lift
+            return out
+        forward = type(module).forward
+        spec = getattr(forward, "__shape_spec__", None)
+        if spec is not None:
+            arguments = _bind_arguments(forward, module, args, kwargs)
+            spec.verify(module, arguments, out, self.trace)
+        return self._lift(out)
 
-    def _lift(out):
-        if lift_outputs and trace.env is not None:
+    def _lift(self, out):
+        if self.lift_outputs and self.trace.env is not None:
             if (isinstance(out, Tensor) and not isinstance(out, AbstractTensor)
                     and out.data.dtype.kind in "fc"):
-                return lift_tensor(out, trace.env)
+                return lift_tensor(out, self.trace.env)
             if isinstance(out, tuple):
-                return tuple(_lift(item) for item in out)
+                return tuple(self._lift(item) for item in out)
         return out
 
-    def patched(self, *args, **kwargs):
-        out = original(self, *args, **kwargs)
-        spec = getattr(type(self).forward, "__shape_spec__", None)
-        if spec is not None:
-            arguments = _bind_arguments(type(self).forward, self, args, kwargs)
-            spec.verify(self, arguments, out, trace)
-        return _lift(out)
 
-    Module.__call__ = patched
+@contextlib.contextmanager
+def verify_module_calls(trace: SymbolicTrace, lift_outputs: bool = True):
+    """Verify specs and lift outputs of every ``Module`` call inside the
+    context."""
+    handle = register_observer(_SpecObserver(trace, lift_outputs))
     try:
         yield
     finally:
-        Module.__call__ = original
+        handle.remove()

@@ -18,9 +18,9 @@ Usage (installed as the ``repro`` console script)::
     repro table    --table 3            # regenerate a paper table
     repro export   --dataset srprs/en_fr --out ./data/en_fr
     repro lint     src tests            # autograd-aware static analysis
-    repro check-model --method sdea     # dynamic autograd-graph check
     repro shape-check                   # symbolic whole-model shape check
-    repro ir       --method sdea --replay   # training-step IR + verified replay
+    repro ir       --method sdea --replay   # per-phase training-step IR + replay
+    repro ir                            # IR-check every registered method
     repro ir       --method jape-stru --dot step.dot --format json
 """
 
@@ -125,9 +125,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         ir_ctx = nullcontext()
     from .analysis.anomaly import AnomalyError
-    # Session first, anomaly second: the anomaly hooks must stack on top
-    # of the profiler's engine hooks (both patch Tensor._make_child).
-    # The IR capture enters last for the same reason.
     with obs.session(runs_dir=args.runs_dir, profile=args.profile,
                      telemetry=telemetry_on,
                      health_rules=rule_texts) as sess, \
@@ -154,15 +151,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(sess.profiler.report())
             print()
     if args.capture_ir:
-        capture = ir_ctx.capture
-        if capture is None:
+        if not ir_ctx.captures:
             print("ir capture: no backward observed (non-gradient method)")
-        else:
-            from .analysis.ir import run_passes
+        from .analysis.ir import run_passes
+        for capture in ir_ctx.captures:
             capture.method = args.method
             print()
             print(run_passes(capture).to_text())
-            print()
+        print()
     print(f"{args.method}: {result.row()}  ({result.seconds:.1f}s)")
     if args.profile:
         print(f"profile: {result.total_flops_estimate:.4g} FLOPs estimated, "
@@ -482,7 +478,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     synthetic pair (seconds, not minutes) — enough to see the op mix,
     forward/backward split and FLOP distribution of the real code paths.
     """
-    from .analysis.graphcheck import tiny_check_method, tiny_check_pair
+    from .analysis.ir import tiny_method, tiny_pair
     from .experiments.methods import make_method
     from .obs import trace as obs_trace
     from .obs.profile import format_summary_json
@@ -491,8 +487,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         pair = build_dataset(args.dataset)
         method = make_method(args.method)
     else:
-        pair = tiny_check_pair()
-        method = tiny_check_method(args.method)
+        pair = tiny_pair()
+        method = tiny_method(args.method)
     split = pair.split()
     with obs.session(runs_dir=None, profile=True) as sess:
         with obs_trace.span("profile", method=args.method,
@@ -525,72 +521,66 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_model(args: argparse.Namespace) -> int:
-    from .analysis import check_method
-
-    methods = available_methods() if args.all else [args.method]
-    if not args.all and args.method is None:
-        print("check-model needs --method <name> or --all", file=sys.stderr)
-        return 2
-    failures = 0
-    for name in methods:
-        try:
-            reports = check_method(name, max_captures=args.max_captures)
-        except Exception as exc:
-            print(f"== {name} ==\n  fit crashed: "
-                  f"{type(exc).__name__}: {exc}")
-            failures += 1
-            continue
-        print(f"== {name} ==")
-        if not reports:
-            print("  no autograd backward observed during fit "
-                  "(non-gradient method) — nothing to check")
-            continue
-        for report in reports:
-            print("  " + report.format().replace("\n", "\n  "))
-            if not report.ok:
-                failures += 1
-    return 1 if failures else 0
-
-
 def _cmd_ir(args: argparse.Namespace) -> int:
-    """Capture one training step as IR, analyze it, optionally replay.
+    """Capture each training phase's step as IR, analyze, optionally replay.
 
-    Runs the method at unit-test scale on the tiny synthetic pair (same
-    workload as ``repro check-model``), prints the G001–G006 findings,
-    and with ``--replay`` re-executes the captured step and verifies it
-    bit-for-bit against what the eager engine produced.
+    Runs the method (every registered method without ``--method``) at
+    unit-test scale on the tiny synthetic pair, prints the G001–G013
+    findings of every captured phase, and with ``--replay`` re-executes
+    each captured step and verifies it bit-for-bit against what the
+    eager engine produced.  A crashed fit is reported and the remaining
+    methods still run.
     """
     from .analysis.ir import capture_method, replay, run_passes
     from .obs import metrics
 
-    start = time.perf_counter()
-    try:
-        capture = capture_method(args.method)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    report = run_passes(capture, select=args.select, ignore=args.ignore)
-    if args.replay:
-        report.replay = replay(capture)
-    seconds = time.perf_counter() - start
-    # Same pattern as `repro lint` / `repro shape-check`: lands in the
-    # run-record metrics snapshot when an obs session is active.
-    metrics.histogram("analysis.ir_seconds").observe(seconds)
-    metrics.counter("analysis.ir_findings").inc(len(report.findings))
+    methods = [args.method] if args.method else available_methods()
+    reports, dots, failures = [], [], 0
+    for name in methods:
+        start = time.perf_counter()
+        if len(methods) > 1 and args.format == "text":
+            print(f"== {name} ==")
+        try:
+            captures = capture_method(name)
+        except UnknownNameError:
+            raise
+        except Exception as exc:  # report it and go on to the next method
+            print(f"{name}: no capture: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            failures += 1
+            continue
+        method_reports = []
+        for capture in captures:
+            report = run_passes(capture, select=args.select,
+                                ignore=args.ignore)
+            if args.replay:
+                report.replay = replay(capture)
+            if report.gating or (args.replay and not report.replay.ok):
+                failures += 1
+            if args.format == "text":
+                print(report.to_text() + "\n")
+            method_reports.append(report)
+            dots.append(capture.graph.to_dot())
+        seconds = time.perf_counter() - start
+        # Same pattern as `repro lint` / `repro shape-check`: lands in
+        # the run-record metrics snapshot when an obs session is active.
+        metrics.histogram("analysis.ir_seconds").observe(seconds)
+        metrics.counter("analysis.ir_findings").inc(
+            sum(len(report.findings) for report in method_reports))
+        reports += method_reports
+        if args.format == "text":
+            print(f"({len(captures)} phase(s) of {name} captured + "
+                  f"analyzed in {seconds:.1f} s)")
     if args.dot:
-        Path(args.dot).write_text(capture.graph.to_dot(), encoding="utf-8")
+        Path(args.dot).write_text("\n".join(dots), encoding="utf-8")
+        # stderr under --format json keeps stdout pure JSON for piping
+        print(f"wrote op graphs: {args.dot}  (one digraph per capture; "
+              "render with `dot -Tsvg`)",
+              file=sys.stderr if args.format == "json" else sys.stdout)
     if args.format == "json":
-        print(report.to_json())
-        if args.dot:  # keep stdout pure JSON for piping
-            print(f"wrote op graph: {args.dot}", file=sys.stderr)
-    else:
-        print(report.to_text())
-        print(f"(captured + analyzed in {seconds:.1f} s)")
-        if args.dot:
-            print(f"wrote op graph: {args.dot}  (render with `dot -Tsvg`)")
-    replay_failed = args.replay and not report.replay.ok
-    return 1 if report.gating or replay_failed else 0
+        print(json.dumps([report.to_dict() for report in reports],
+                         indent=2, sort_keys=True))
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -636,9 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "exit nonzero on any fail alert; implies "
                           "--telemetry")
     run.add_argument("--capture-ir", action="store_true",
-                     help="capture one training step into the analysis "
-                          "IR and print the G-finding report after the "
-                          "run (see `repro ir`)")
+                     help="capture one step of each training phase into "
+                          "the analysis IR and print the G-finding reports "
+                          "after the run (see `repro ir`)")
     run.add_argument("--health-rules", default=None, metavar="RULES.toml",
                      help="TOML file with a top-level `rules` string "
                           "array (see `repro obs rules`); implies "
@@ -763,12 +753,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ir = sub.add_parser(
         "ir",
-        help="capture one training step as an SSA-style op graph, run "
-             "compiler-style passes (liveness, dead ops, fusion "
-             "legality, ... — codes G001-G006) and optionally verify "
-             "the IR with a bit-for-bit replay",
+        help="capture one step of each training phase as an SSA-style op "
+             "graph, run compiler-style passes (liveness, dead ops, "
+             "fusion legality, gradient checks, ... — codes G001-G013) "
+             "and optionally verify the IR with a bit-for-bit replay",
     )
-    ir.add_argument("--method", required=True)
+    ir.add_argument("--method", default=None,
+                    help="one registered method (default: every method)")
     ir.add_argument("--format", choices=("text", "json"), default="text")
     ir.add_argument("--select", nargs="*", default=None,
                     help="restrict to specific finding codes "
@@ -776,23 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
     ir.add_argument("--ignore", nargs="*", default=None,
                     help="skip specific finding codes (e.g. G004)")
     ir.add_argument("--replay", action="store_true",
-                    help="re-execute the captured step and assert outputs "
+                    help="re-execute each captured step and assert outputs "
                          "and parameter gradients match eager bit-for-bit")
     ir.add_argument("--dot", default=None, metavar="OUT.dot",
-                    help="also write the op graph in graphviz format")
+                    help="also write the op graphs in graphviz format")
     ir.set_defaults(func=_cmd_ir)
-
-    check_model = sub.add_parser(
-        "check-model",
-        help="train a method on a tiny synthetic pair and graph-check "
-             "every training phase's autograd graph",
-    )
-    check_model.add_argument("--method", default=None)
-    check_model.add_argument("--all", action="store_true",
-                             help="check every registered method")
-    check_model.add_argument("--max-captures", type=int, default=8,
-                             help="max distinct loss graphs to check")
-    check_model.set_defaults(func=_cmd_check_model)
     return parser
 
 

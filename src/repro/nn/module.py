@@ -7,54 +7,12 @@ modes, and flat state dicts for serialisation.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from . import hooks as _hooks
 from .tensor import Tensor
-
-#: Process-global forward pre/post hooks.  Empty (the default) keeps
-#: ``Module.__call__`` on a single truthiness check; the op profiler
-#: (:mod:`repro.obs.profile`) registers a pair while active so op events
-#: can be attributed to the module that created them.  Mutation goes
-#: through ``_HOOKS_LOCK`` so concurrent register/remove calls cannot
-#: lose a hook; ``__call__`` iterates a snapshot, so reads stay
-#: lock-free.
-_HOOKS_LOCK = threading.Lock()
-_forward_hooks: List[Tuple[Optional[Callable], Optional[Callable]]] = []
-
-
-class HookHandle:
-    """Removal handle returned by :func:`register_forward_hooks`."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry):
-        self._entry = entry
-
-    def remove(self) -> None:
-        with _HOOKS_LOCK:
-            try:
-                _forward_hooks.remove(self._entry)
-            except ValueError:
-                pass  # already removed — removal is idempotent
-
-
-def register_forward_hooks(
-    pre: Optional[Callable[["Module"], None]] = None,
-    post: Optional[Callable[["Module"], None]] = None,
-) -> HookHandle:
-    """Register global ``pre(module)`` / ``post(module)`` forward hooks.
-
-    Hooks fire around *every* ``Module.__call__`` in the process while
-    registered.  ``post`` runs even when ``forward`` raises, so paired
-    enter/exit bookkeeping (e.g. a module stack) stays balanced.
-    """
-    entry = (pre, post)
-    with _HOOKS_LOCK:
-        _forward_hooks.append(entry)
-    return HookHandle(entry)
 
 
 class Parameter(Tensor):
@@ -171,17 +129,18 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        if not _forward_hooks:
+        observers = _hooks.observers
+        if not observers:
             return self.forward(*args, **kwargs)
-        for pre, _ in tuple(_forward_hooks):
-            if pre is not None:
-                pre(self)
+        for observer in observers:
+            observer.module_entered(self, args, kwargs)
+        out = None
         try:
-            return self.forward(*args, **kwargs)
+            out = self.forward(*args, **kwargs)
         finally:
-            for _, post in tuple(_forward_hooks):
-                if post is not None:
-                    post(self)
+            for observer in observers:
+                out = observer.module_exited(self, args, kwargs, out)
+        return out
 
 
 class ModuleList(Module):

@@ -12,6 +12,7 @@ from typing import Iterable, List
 import numpy as np
 
 from ..obs import metrics
+from . import hooks as _hooks
 from .module import Parameter
 
 
@@ -22,6 +23,8 @@ class Optimizer:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
+        for observer in _hooks.observers:
+            observer.optimizer_created(self)
 
     def zero_grad(self) -> None:
         for param in self.parameters:

@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import hooks as _hooks
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 #: Canonical floating dtype of the engine.  Hot-path code must reference
@@ -168,6 +170,10 @@ class Tensor:
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
+        observers = _hooks.observers
+        if observers:
+            for observer in observers:
+                observer.op_created(out, data, parents, backward)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -193,6 +199,9 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
+        observers = _hooks.observers
+        for observer in observers:
+            observer.backward_started(self, grad)
 
         # Topologically order the graph reachable from self.
         topo: list[Tensor] = []
@@ -221,10 +230,16 @@ class Tensor:
                 node._accumulate(node_grad)
             if node._backward is not None:
                 node._backward_dispatch(node_grad, grads)
+        for observer in observers:
+            observer.backward_finished(self, grad)
 
     def _backward_dispatch(self, grad: np.ndarray, grads: dict) -> None:
         """Invoke the op's backward fn, routing parent grads via ``grads``."""
         contributions = self._backward(grad)
+        observers = _hooks.observers
+        if observers:
+            for observer in observers:
+                observer.node_dispatched(self, grad, contributions)
         for parent, contribution in zip(self._parents, contributions):
             if contribution is None or not (
                 parent.requires_grad or parent._backward is not None

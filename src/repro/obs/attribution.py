@@ -9,7 +9,7 @@ the chrome trace drift apart on naming.  Both now funnel through the
 same two primitives:
 
 * :func:`module_label` — one module's display name,
-* :class:`ModulePathTracker` — the forward-hook stack joined with
+* :class:`ModulePathTracker` — the module-call stack joined with
   :data:`PATH_SEPARATOR` (``SDEAModel/TransformerEncoder/...``).
 
 The op-name derivation from a backward closure (``__qualname__`` of the
@@ -99,11 +99,10 @@ def clear_name_cache() -> None:
 class ModulePathTracker:
     """Maintains the live module-call stack during forward execution.
 
-    Wire :meth:`push`/:meth:`pop` to
-    :func:`repro.nn.module.register_forward_hooks` ``pre``/``post`` and
+    Call :meth:`push`/:meth:`pop` from an engine observer's
+    ``module_entered``/``module_exited`` (:mod:`repro.nn.hooks`) and
     read :meth:`path` when an op fires.  ``pop`` tolerates an empty
-    stack so an unbalanced hook (module raised mid-forward) cannot
-    poison later attribution.
+    stack, so a stray exit cannot poison later attribution.
     """
 
     __slots__ = ("stack",)

@@ -2,9 +2,10 @@
 
 The span tracer (:mod:`repro.obs.tracing`) answers *which phase is
 slow*; :class:`OpProfiler` answers *which tensor op*, at the granularity
-the numpy autograd engine actually executes: every ``Tensor`` operation
-that goes through ``Tensor._make_child`` (forward) and every
-``Tensor._backward_dispatch`` call (backward).  For each op it records
+the numpy autograd engine actually executes: every op output built by
+``Tensor._make_child`` (forward) and every backward node dispatch.  It
+is an engine observer (:mod:`repro.nn.hooks`), and for each op it
+records
 
 * call count and wall seconds,
 * an analytic FLOP estimate from operand shapes (the shared FLOP model
@@ -12,28 +13,26 @@ that goes through ``Tensor._make_child`` (forward) and every
   2x their forward formula),
 * output bytes (forward only),
 * the owning module path (``SDEAModel/TransformerEncoder/...``),
-  maintained via global :func:`repro.nn.module.register_forward_hooks`
-  pre/post hooks; backward ops inherit the path of the module that
-  *created* the output tensor (tracked through a weak map).
+  maintained from the observer's module enter/exit events; backward
+  ops inherit the path of the module that *created* the output tensor
+  (tracked through a weak map).
 
 Live **tensor memory** is tracked by attaching a ``weakref.finalize``
 to every op output: ``live_bytes`` rises on creation and falls when the
 tensor is garbage-collected, and the high-water mark is exported as the
 ``profile.peak_tensor_bytes`` gauge.
 
-Timing model — forward ops are timed as *self time*: the engine computes
-the numpy result before ``_make_child`` is called, so an op's duration
-is measured as the gap since the previous profiler event (previous op,
-module boundary, or backward step).  In the single-threaded engine this
-attributes each op's numpy compute plus the python glue leading up to
-it; backward ops are timed exactly (the hook wraps the whole dispatch).
+Timing model — ops are timed as *self time*: the engine reports an op
+after computing it (the forward result, or a backward node's gradient
+contributions), so an op's duration is measured as the gap since the
+previous profiler event (previous op, module boundary, or backward
+start).  In the single-threaded engine this attributes each op's numpy
+compute plus the python glue leading up to it.
 
 Like the rest of ``repro.obs`` the profiler is **zero-overhead by
-default**: nothing is patched until :meth:`OpProfiler.install` runs
-(normally via ``obs.session(profile=True)``), and ``uninstall`` restores
-the original class methods.  When combined with
-:func:`repro.analysis.detect_anomaly`, enter the profiling session
-*first* so the anomaly hooks stack on top.
+default**: it observes nothing until :meth:`OpProfiler.install` runs
+(normally via ``obs.session(profile=True)``), and ``uninstall`` removes
+it from the registry whatever else is registered.
 """
 
 from __future__ import annotations
@@ -41,9 +40,10 @@ from __future__ import annotations
 import json
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..nn.hooks import Observer, register_observer
 from . import metrics
 from .attribution import ModulePathTracker, op_name_from_backward
 
@@ -112,7 +112,7 @@ def active_profiler() -> Optional["OpProfiler"]:
     return _active
 
 
-class OpProfiler:
+class OpProfiler(Observer):
     """Deterministic op-level profiler for the numpy autograd engine.
 
     Use through ``obs.session(profile=True)`` or directly::
@@ -144,8 +144,6 @@ class OpProfiler:
         # so a WeakKeyDictionary (identity hash) attributes backward
         # ops to the forward module without pinning tensors.
         self._creators: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._orig_make_child = None
-        self._orig_dispatch = None
         self._hook_handle = None
         self._flops_for = None  # bound at install()
 
@@ -153,59 +151,28 @@ class OpProfiler:
     # Install / uninstall
     # ------------------------------------------------------------------ #
     def install(self) -> "OpProfiler":
-        """Patch the engine hooks; idempotent, one profiler at a time."""
+        """Start observing the engine; idempotent, one profiler at a time."""
         global _active
         if self._installed:
             return self
         if _active is not None:
             raise RuntimeError("another OpProfiler is already installed")
         from ..analysis.shapes.flops import flops_for
-        from ..nn.module import register_forward_hooks
-        from ..nn.tensor import Tensor
 
         self._flops_for = flops_for
-        self._orig_make_child = Tensor._make_child
-        self._orig_dispatch = Tensor._backward_dispatch
-        profiler = self
-        orig_make_child = self._orig_make_child
-        orig_dispatch = self._orig_dispatch
-
-        def profiled_make_child(tensor_self, data, parents, backward):
-            out = orig_make_child(tensor_self, data, parents, backward)
-            profiler._record_forward(out, parents, backward)
-            return out
-
-        def profiled_backward_dispatch(tensor_self, grad, grads):
-            start = time.perf_counter()
-            try:
-                return orig_dispatch(tensor_self, grad, grads)
-            finally:
-                profiler._record_backward(
-                    tensor_self, time.perf_counter() - start
-                )
-
-        Tensor._make_child = profiled_make_child
-        Tensor._backward_dispatch = profiled_backward_dispatch
-        self._hook_handle = register_forward_hooks(
-            pre=self._module_pre, post=self._module_post
-        )
+        self._hook_handle = register_observer(self)
         self._t0 = self._mark = time.perf_counter()
         self._installed = True
         _active = self
         return self
 
     def uninstall(self) -> None:
-        """Restore the original engine methods; idempotent."""
+        """Stop observing the engine; idempotent."""
         global _active
         if not self._installed:
             return
-        from ..nn.tensor import Tensor
-
-        Tensor._make_child = self._orig_make_child
-        Tensor._backward_dispatch = self._orig_dispatch
-        if self._hook_handle is not None:
-            self._hook_handle.remove()
-            self._hook_handle = None
+        self._hook_handle.remove()
+        self._hook_handle = None
         self._installed = False
         if _active is self:
             _active = None
@@ -220,23 +187,24 @@ class OpProfiler:
         self.uninstall()
 
     # ------------------------------------------------------------------ #
-    # Hook bodies
+    # Engine events
     # ------------------------------------------------------------------ #
-    def _module_pre(self, module) -> None:
+    def module_entered(self, module, args, kwargs) -> None:
         self._paths.push(module)
         self._mark = time.perf_counter()
 
-    def _module_post(self, module) -> None:
+    def module_exited(self, module, args, kwargs, out):
         self._paths.pop()
         self._mark = time.perf_counter()
+        return out
 
-    def _op_name(self, backward) -> str:
-        return op_name_from_backward(backward)
+    def backward_started(self, root, grad) -> None:
+        self._mark = time.perf_counter()
 
-    def _record_forward(self, out, parents, backward) -> None:
+    def op_created(self, out, data, parents, backward) -> None:
         now = time.perf_counter()
         wall = now - self._mark
-        op = self._op_name(backward)
+        op = op_name_from_backward(backward)
         flops = self._flops_for(op, [p.shape for p in parents],
                                 out.data.shape)
         nbytes = int(getattr(out.data, "nbytes", 0))
@@ -253,19 +221,19 @@ class OpProfiler:
             self._creators[out] = module
         self._mark = time.perf_counter()
 
-    def _record_backward(self, tensor_self, wall: float) -> None:
-        backward = tensor_self._backward
-        op = self._op_name(backward) if backward is not None else "op"
+    def node_dispatched(self, node, grad, contributions) -> None:
+        now = time.perf_counter()
+        wall = now - self._mark
+        op = op_name_from_backward(node._backward)
         # Standard estimate: backward of an op costs ~2x its forward
         # (one gradient per operand over the same contraction sizes).
         flops = 2 * self._flops_for(
-            op, [p.shape for p in tensor_self._parents], tensor_self.shape
+            op, [p.shape for p in node._parents], node.shape
         )
-        module = self._creators.get(tensor_self, "")
-        now = time.perf_counter()
+        module = self._creators.get(node, "")
         self._bump(op, "backward", module, wall, flops, 0,
-                   ts=now - self._t0 - wall)
-        self._mark = now
+                   ts=self._mark - self._t0)
+        self._mark = time.perf_counter()
 
     def _on_tensor_freed(self, nbytes: int) -> None:
         self.live_bytes -= nbytes

@@ -1,5 +1,7 @@
 """Anomaly mode: NaN/Inf detection with op provenance."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,11 @@ from repro.analysis import (
     detect_anomaly,
     is_anomaly_enabled,
 )
-from repro.nn import Parameter, Tensor
+from repro.analysis.ir import IRCapture
+from repro.analysis.ir import capture as ir_capture_module
+from repro.nn import Parameter, Tensor, hooks
+from repro.obs import profile as profile_module
+from repro.obs.profile import OpProfiler
 
 
 class TestContextManagement:
@@ -20,21 +26,19 @@ class TestContextManagement:
         assert not is_anomaly_enabled()
 
     def test_reentrant_nesting(self):
-        original = Tensor._make_child
         with detect_anomaly():
             with detect_anomaly():
                 assert is_anomaly_enabled()
-            assert is_anomaly_enabled()  # inner exit must not unpatch
-            assert Tensor._make_child is not original
-        assert Tensor._make_child is original
+            assert is_anomaly_enabled()  # inner exit must not unregister
+            assert len(hooks.observers) == 1
+        assert hooks.observers == ()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) on purpose
     def test_unpatches_even_after_raise(self):
-        original = Tensor._make_child
         with pytest.raises(AnomalyError):
             with detect_anomaly():
                 Tensor([0.0]).log()
-        assert Tensor._make_child is original
+        assert hooks.observers == ()
 
     def test_clean_computation_unaffected(self):
         p = Parameter(np.array([0.5, -0.25]))
@@ -124,6 +128,40 @@ class TestBackwardAnomalies:
         p2 = Parameter(data.copy())
         (p2.sigmoid() * 2.0).mean().backward()
         np.testing.assert_allclose(p1.grad, p2.grad)
+
+
+class TestObserverComposition:
+    """Anomaly mode, the profiler and the IR capture share one registry."""
+
+    @pytest.mark.parametrize("other", ["alone", "ir-capture", "profiler"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(-1) on purpose
+    def test_op_named_under_other_observers(self, other):
+        inner = {"alone": nullcontext, "ir-capture": IRCapture,
+                 "profiler": OpProfiler}[other]
+        x = Tensor([-1.0], requires_grad=True)
+        with detect_anomaly(), inner():
+            with pytest.raises(AnomalyError) as excinfo:
+                x.log()
+        provenance = excinfo.value.provenance
+        assert provenance.op == "log"
+        assert "test_anomaly.py" in provenance.stack
+        for module in (profile_module, ir_capture_module):
+            assert module.__file__ not in provenance.stack
+        assert hooks.observers == ()
+
+    def test_out_of_order_exit_leaves_nothing_registered(self):
+        profiler, anomaly, capture = OpProfiler(), detect_anomaly(), IRCapture()
+        profiler.__enter__()
+        anomaly.__enter__()
+        capture.__enter__()
+        profiler.__exit__(None, None, None)
+        capture.__exit__(None, None, None)
+        anomaly.__exit__(None, None, None)
+        assert hooks.observers == ()
+        calls = profiler.total_calls()
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        (x * x).sum().backward()
+        assert profiler.total_calls() == calls
 
 
 class TestProvenanceFormatting:

@@ -139,15 +139,36 @@ class TestCommands:
         snapshot = registry.snapshot()
         assert any("lint_seconds" in name for name in snapshot)
 
-    def test_check_model_single_method(self, capsys):
-        assert main(["check-model", "--method", "mtranse"]) == 0
+    def test_ir_single_method(self, capsys):
+        assert main(["ir", "--method", "mtranse"]) == 0
         out = capsys.readouterr().out
-        assert "mtranse" in out
-        assert "parameters reachable" in out
+        assert "method=mtranse" in out
+        assert "1 phase(s) of mtranse" in out
 
-    def test_check_model_unknown_method_fails(self, capsys):
-        assert main(["check-model", "--method", "not-a-method"]) == 1
-        assert "unknown method" in capsys.readouterr().out
+    def test_ir_unknown_method_fails(self, capsys):
+        assert main(["ir", "--method", "not-a-method"]) == 1
+        assert "unknown method" in capsys.readouterr().err
+
+    def test_ir_all_methods_goes_on_past_a_crashed_fit(self, monkeypatch,
+                                                       capsys):
+        import repro.analysis.ir as ir
+        import repro.cli as cli
+
+        real_capture = ir.capture_method
+
+        def capture(name):
+            if name == "boom":
+                raise ValueError("fit exploded")
+            return real_capture(name)
+
+        monkeypatch.setattr(cli, "available_methods",
+                            lambda: ["boom", "mtranse"])
+        monkeypatch.setattr(ir, "capture_method", capture)
+        assert main(["ir"]) == 1
+        captured = capsys.readouterr()
+        assert "boom: no capture: ValueError: fit exploded" in captured.err
+        assert "== mtranse ==" in captured.out
+        assert "method=mtranse" in captured.out
 
     def test_run_with_detect_anomaly(self, tmp_path, capsys):
         runs_dir = tmp_path / "runs"

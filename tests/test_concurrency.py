@@ -148,12 +148,12 @@ class TestThreadSafetyPins:
         assert len(_signature_cache) <= _SIG_CACHE_MAX
 
     def test_forward_hook_registry_survives_contention(self):
-        from repro.nn.module import _forward_hooks, register_forward_hooks
+        from repro.nn import hooks
 
         def worker(index):
             for _ in range(100):
-                handle = register_forward_hooks(pre=lambda module: None)
+                handle = hooks.register_observer(hooks.Observer())
                 handle.remove()
 
         hammer(worker)
-        assert _forward_hooks == []
+        assert hooks.observers == ()

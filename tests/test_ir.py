@@ -1,13 +1,23 @@
-"""Training-step IR: capture, analysis passes, verified replay."""
+"""Training-step IR: capture, analysis passes, verified replay.
+
+The gradient passes (G007–G013) carry the graph checks: hypothesis
+properties compose random op chains and assert that reachable
+parameters always get gradients and that a detached loss or an unused
+optimizer parameter is always flagged.
+"""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.findings import Finding
 from repro.analysis.ir import (
     G_CODES,
+    MAX_CAPTURES,
+    IRCapture,
     capture_method,
     capture_step,
     plan_memory,
@@ -15,9 +25,16 @@ from repro.analysis.ir import (
     run_passes,
 )
 from repro.cli import main
-from repro.nn import Linear, Tensor
+from repro.experiments.methods import available_methods
+from repro.nn import SGD, Linear, Parameter, Tensor, hooks
 from repro.nn.layers import MLP
 from repro.obs.profile import OpProfiler
+
+# Ops whose arbitrary composition keeps values (and therefore gradients)
+# finite for inputs in [-2, 2].  `exp` does NOT belong here: exp∘exp∘exp
+# overflows to inf and G012 then *correctly* reports a non-finite
+# gradient — covered separately below with one application.
+SAFE_UNARY = ("tanh", "sigmoid", "abs")
 
 
 def _two_steps(step):
@@ -61,6 +78,48 @@ class TestCapture:
     def test_never_backward_raises(self):
         with pytest.raises(RuntimeError, match="never called backward"):
             capture_step(lambda: Tensor(np.ones(3)) * 2.0, label="fwd-only")
+
+    def test_counts_distinct_nodes(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        capture = capture_step(lambda: (a * b).sum().backward())
+        assert len(capture.graph.nodes) == 4  # a, b, product, loss
+        assert {id(a), id(b)} <= {id(t) for t in capture.tensors.values()}
+
+    def test_shared_node_registered_once(self):
+        a = Tensor([1.0], requires_grad=True)
+        capture = capture_step(lambda: (a * a).sum().backward())
+        assert sum(1 for t in capture.tensors.values() if t is a) == 1
+
+    def test_one_capture_per_leaf_signature(self, rng):
+        layer = Linear(3, 1, rng)
+        x = Tensor(np.ones((4, 3)))
+        with IRCapture() as harness:
+            optimizer = SGD(layer.parameters(), lr=0.01)
+            for _ in range(3):  # one phase → one capture, not three
+                optimizer.zero_grad()
+                loss = (layer(x) * layer(x)).sum()
+                loss.backward()
+                optimizer.step()
+        assert len(harness.captures) == 1
+        capture = harness.captures[0]
+        assert capture.clean
+        assert not [f for f in run_passes(capture).findings
+                    if f.severity == "error"]
+        assert len(capture.params) == len(list(layer.parameters()))
+
+    def test_observer_removed_on_exit(self):
+        with IRCapture() as harness:
+            assert hooks.observers == (harness,)
+        assert hooks.observers == ()
+
+    def test_captures_capped(self):
+        with IRCapture() as harness:
+            for i in range(MAX_CAPTURES + 2):
+                p = Parameter(np.ones(2) * (1 + i))
+                SGD([p], lr=0.1)
+                (p * p).sum().backward()
+        assert len(harness.captures) == MAX_CAPTURES
 
     def test_source_data_snapshotted(self):
         x, step = _simple_step()
@@ -119,8 +178,8 @@ class TestReplay:
 
 
 class TestPasses:
-    def test_catalogue_covers_g001_to_g006(self):
-        assert sorted(G_CODES) == [f"G00{i}" for i in range(1, 7)]
+    def test_catalogue_covers_g001_to_g013(self):
+        assert sorted(G_CODES) == [f"G{i:03d}" for i in range(1, 14)]
 
     def _codes(self, capture, **kw):
         return [f.code for f in run_passes(capture, **kw).findings]
@@ -186,6 +245,27 @@ class TestPasses:
         assert any(f.code == "G005" and f.severity == "warning"
                    for f in findings)
 
+    def test_different_slices_of_a_constant_are_not_redundant(self):
+        # Slices 0:24 and 24:48 of an all-zero leaf share op, parent,
+        # shape and every output byte; only their indices differ.
+        z = Tensor(np.zeros(72), requires_grad=True)
+
+        def step():
+            z.grad = None
+            (z[0:24] * z[24:48]).sum().backward()
+
+        codes = self._codes(_two_steps(step))
+        assert "G005" not in codes
+
+    def test_same_slice_twice_is_redundant(self):
+        z = Tensor(np.zeros(72), requires_grad=True)
+
+        def step():
+            z.grad = None
+            (z[0:24] * z[0:24]).sum().backward()
+
+        assert "G005" in self._codes(_two_steps(step))
+
     def test_dtype_escape_flagged(self):
         a = Tensor(np.ones(3), requires_grad=True)
 
@@ -217,6 +297,137 @@ class TestPasses:
         assert "IR capture:" in text and "memory plan:" in text
         payload = json.loads(report.to_json())
         assert payload["counts"].get("G001") == 1
+
+
+def _gradient_findings(build, params=()):
+    """Capture one step of ``build()`` under SGD over ``params``."""
+    def step():
+        if params:
+            SGD(list(params), lr=0.1)
+        build().backward()
+
+    return run_passes(capture_step(step)).findings
+
+
+def _codes_with(findings, severity):
+    return {f.code for f in findings if f.severity == severity}
+
+
+class TestGradientProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(SAFE_UNARY), min_size=0, max_size=4),
+        size=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_reachable_params_always_get_gradients(self, ops, size, seed):
+        rng = np.random.default_rng(seed)
+        p1 = Parameter(rng.uniform(-1.0, 1.0, size=size))
+        p2 = Parameter(rng.uniform(-1.0, 1.0, size=size))
+
+        def build():
+            x = p1 * p2 + p1
+            for op in ops:
+                x = getattr(x, op)()
+            return x.sum()
+
+        findings = _gradient_findings(build, params=(p1, p2))
+        assert not _codes_with(findings, "error"), findings
+        assert p1.grad is not None and p2.grad is not None
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_single_exp_keeps_gradients_finite(self, seed):
+        rng = np.random.default_rng(seed)
+        p1 = Parameter(rng.uniform(-1.0, 1.0, size=3))
+        p2 = Parameter(rng.uniform(-1.0, 1.0, size=3))
+        findings = _gradient_findings(
+            lambda: (p1 * p2 + p1).exp().sum(), params=(p1, p2))
+        assert "G012" not in _codes_with(findings, "error"), findings
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(SAFE_UNARY), min_size=0, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_detached_inputs_always_flagged(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.uniform(-1.0, 1.0, size=3))  # requires_grad=False
+
+        def build():
+            y = x
+            for op in ops:
+                y = getattr(y, op)()
+            return (y * y).sum()
+
+        assert "G007" in _codes_with(_gradient_findings(build), "error")
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_unused_parameter_always_flagged(self, seed):
+        rng = np.random.default_rng(seed)
+        used = Parameter(rng.uniform(-1.0, 1.0, size=3))
+        unused = Parameter(rng.uniform(-1.0, 1.0, size=3))
+        findings = _gradient_findings(lambda: used.tanh().sum(),
+                                      params=(used, unused))
+        missing = [f for f in findings if f.code == "G008"]
+        assert len(missing) == 1 and missing[0].severity == "error"
+        assert "parameter #1" in missing[0].message
+
+
+class TestGradientChecks:
+    def test_clean_graph_reports_ok(self):
+        p = Parameter(np.array([0.5, -0.5]))
+        findings = _gradient_findings(lambda: (p * p).sum(), params=(p,))
+        assert [f.code for f in findings] == ["G001"]
+
+    def test_stale_gradients_warn_double_backward(self):
+        p = Parameter(np.ones(2))
+
+        def step():
+            (p * p).sum().backward()   # no zero_grad between steps
+
+        capture = _two_steps(step)
+        stale = [f for f in run_passes(capture).findings if f.code == "G010"]
+        assert len(stale) == 1 and stale[0].severity == "warning"
+
+    def test_capture_keeps_preexisting_gradients(self):
+        p = Parameter(np.ones(2))
+        p.grad = np.full(2, 7.0)
+        findings = _gradient_findings(lambda: (p * p).sum())
+        np.testing.assert_array_equal(p.grad, np.full(2, 9.0))  # as eager
+        assert "G010" in _codes_with(findings, "warning")
+
+    def test_zero_gradient_is_warning_not_error(self):
+        p = Parameter(np.zeros(3))
+        findings = _gradient_findings(lambda: (p * 0.0).sum(), params=(p,))
+        assert not _codes_with(findings, "error")
+        assert "G013" in _codes_with(findings, "warning")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) on purpose
+    def test_nonfinite_gradient_is_error(self):
+        p = Parameter(np.array([0.0, 1.0]))
+        findings = _gradient_findings(lambda: p.log().sum(), params=(p,))
+        assert "G012" in _codes_with(findings, "error")
+
+    def test_wrong_shape_gradient_is_error(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+
+        def build():
+            # A "kernel" whose backward hands its input a (1, 3) gradient.
+            out = a._make_child(a.data * 2.0, (a,),
+                                lambda grad: ((grad * 2.0)[None, :],))
+            return out.sum()
+
+        findings = _gradient_findings(build)
+        assert "G011" in _codes_with(findings, "error")
+
+    def test_untracked_trainable_leaf_warns(self):
+        p = Parameter(np.ones(2))
+        stray = Parameter(np.ones(2))
+        findings = _gradient_findings(lambda: (p * stray).sum(),
+                                      params=(p,))
+        assert "G009" in _codes_with(findings, "warning")
 
 
 class TestMemoryPlan:
@@ -252,7 +463,7 @@ class TestMemoryPlan:
 
 class TestMethodIntegration:
     def test_mtranse_capture_analyze_replay(self):
-        capture = capture_method("mtranse")
+        capture, = capture_method("mtranse")
         assert capture.clean
         assert capture.method == "mtranse"
         report = run_passes(capture)
@@ -264,6 +475,23 @@ class TestMethodIntegration:
     def test_unknown_method_raises(self):
         with pytest.raises(KeyError, match="unknown method"):
             capture_method("not-a-method")
+
+    def test_sdea_captures_each_phase(self):
+        # MLM pre-training, Alg.-2 fine-tuning, relation training.
+        captures = capture_method("sdea")
+        assert [len(c.graph.nodes) for c in captures] == [142, 324, 1848]
+        assert all(c.clean for c in captures)
+        for capture in captures:
+            result = replay(capture)
+            assert result.ok, result.mismatches
+            assert result.opaque_ops == []
+
+    @pytest.mark.parametrize("method", available_methods())
+    def test_no_error_finding_in_any_phase(self, method):
+        for capture in capture_method(method):
+            report = run_passes(capture)
+            errors = [f for f in report.findings if f.severity == "error"]
+            assert not errors, [f.format() for f in errors]
 
 
 class TestAttributionAgreement:
@@ -296,11 +524,11 @@ class TestAttributionAgreement:
 
 
 class TestFindingFormatGolden:
-    def test_graphcheck_style(self):
-        finding = Finding(kind="unreachable-parameter", severity="error",
-                          message="embed.weight gets no gradient")
+    def test_codeless_style(self):
+        finding = Finding(kind="capture-overflow", severity="warning",
+                          message="capture hit its op budget")
         assert finding.format() == (
-            "[error] unreachable-parameter: embed.weight gets no gradient"
+            "[warning] capture-overflow: capture hit its op budget"
         )
 
     def test_ir_style_with_code_and_where(self):
@@ -321,9 +549,9 @@ class TestCLI:
 
     def test_ir_json(self, capsys):
         assert main(["ir", "--method", "mtranse", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "mtranse"
-        assert "findings" in payload
+        payload = json.loads(capsys.readouterr().out)  # one per capture
+        assert payload[0]["method"] == "mtranse"
+        assert "findings" in payload[0]
 
     def test_ir_replay_flag(self, capsys):
         assert main(["ir", "--method", "mtranse", "--replay"]) == 0
