@@ -46,9 +46,11 @@ obs-check:
 ir-check:
 	python benchmarks/ir_check.py
 
-# One traced sdea-srprs repetition of the end-to-end benchmark
-# (e2ebench/): correct, no failed check, no DISAGREE, and the tracer saw
-# MLM, Alg.-2 encodes and steps (~20 s; part of `make check`).
+# One traced sdea-srprs and one traced competitors repetition of the
+# end-to-end benchmark (e2ebench/): correct, no failed check, no
+# DISAGREE, and the tracer saw tokenizer training, MLM, Alg.-2 encodes
+# and steps, plus CEA's Levenshtein matrix on competitors (~27 s; part
+# of `make check`).
 e2e-smoke:
 	python benchmarks/e2e_smoke.py
 

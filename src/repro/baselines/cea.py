@@ -64,7 +64,8 @@ def char_ngram_embedding(names: Sequence[str], dim: int = 256,
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (two-row DP)."""
+    """Classic edit distance (two-row DP); the reference that
+    :func:`levenshtein_similarity_matrix` vectorises."""
     if a == b:
         return 0
     if not a:
@@ -87,14 +88,39 @@ def levenshtein(a: str, b: str) -> int:
 
 def levenshtein_similarity_matrix(names1: Sequence[str],
                                   names2: Sequence[str]) -> np.ndarray:
-    """``1 - lev(a, b) / max(len)`` for every name pair."""
-    matrix = np.empty((len(names1), len(names2)))
+    """``1 - lev(a, b) / max(len(a), len(b), 1)`` for every lowercased pair.
+
+    The Wagner–Fischer DP of :func:`levenshtein`, run for one name of
+    ``names1`` against every name of ``names2`` at once.  ``names2``'s
+    code points sit in an int array padded past each name's end with a
+    sentinel (-1) that equals no code point.  Each DP row is first
+    ``min(deletion, substitution)``; insertions then chain along the row
+    as ``minimum.accumulate(row - j) + j``.  Entry ``j`` of a row depends
+    only on entries ``<= j``, so ``lev(a, b)`` is read at ``j = len(b)``
+    whatever the padding holds.  The arithmetic is integer, so every
+    entry equals the scalar function's.
+    """
+    lowered1 = [str(a).lower() for a in names1]
     lowered2 = [str(b).lower() for b in names2]
-    for i, raw_a in enumerate(names1):
-        a = str(raw_a).lower()
-        for j, b in enumerate(lowered2):
-            denominator = max(len(a), len(b), 1)
-            matrix[i, j] = 1.0 - levenshtein(a, b) / denominator
+    matrix = np.empty((len(lowered1), len(lowered2)))
+    if not lowered2:
+        return matrix
+    # Axis 0 is the position j within a name of names2, axis 1 the name.
+    lengths2 = np.array([len(b) for b in lowered2])
+    codes = np.full((int(lengths2.max()), len(lowered2)), -1, dtype=np.int32)
+    for j, b in enumerate(lowered2):
+        codes[:len(b), j] = [ord(ch) for ch in b]
+    positions = np.arange(len(codes) + 1, dtype=np.int32)[:, None]
+    others = np.arange(len(lowered2))
+    for i, a in enumerate(lowered1):
+        row = np.repeat(positions, len(lowered2), axis=1)
+        for step, ch in enumerate(a, start=1):
+            substitution = row[:-1] + (codes != ord(ch))
+            np.minimum(row[1:] + 1, substitution, out=row[1:])
+            row[0] = step
+            row = np.minimum.accumulate(row - positions, axis=0) + positions
+        denominators = np.maximum(lengths2, max(len(a), 1))
+        matrix[i] = 1.0 - row[lengths2, others] / denominators
     return matrix
 
 

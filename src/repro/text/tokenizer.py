@@ -6,13 +6,22 @@ tokenization strategy to deal with rare words").  This module reproduces
 that behaviour: a byte-pair-encoding trainer learns merges from a corpus,
 and encoding uses greedy longest-match WordPiece segmentation with the
 ``##`` continuation convention.
+
+The trainer is BPE as learned by Sennrich et al. (2016,
+https://arxiv.org/abs/1508.07909): it keeps the adjacent-pair counts and
+the words holding each pair, and recounts after a merge only the words
+that held the merged pair.  Ties between equally frequent pairs go to
+the pair met first when the words are scanned in first-seen order, each
+left to right, which is the pair ``Counter.most_common(1)`` returns from a
+full recount.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .vocab import Vocab
 
@@ -63,6 +72,11 @@ class WordPieceTokenizer:
               min_pair_count: int = 2) -> "WordPieceTokenizer":
         """Learn a subword vocabulary from raw text lines.
 
+        Each step merges the most frequent adjacent pair of pieces; among
+        tied pairs, the smallest (first word index, first position in
+        that word's current segmentation), words indexed in first-seen
+        order.
+
         Parameters
         ----------
         corpus:
@@ -79,30 +93,26 @@ class WordPieceTokenizer:
 
         # Seed vocab with all single characters (and their ## variants).
         vocab = Vocab()
-        segmentations: Dict[str, List[str]] = {}
+        words: List[List[str]] = []
         for word in word_counts:
             pieces = list(_word_pieces_seed(word))
-            segmentations[word] = pieces
+            words.append(pieces)
             for piece in pieces:
                 vocab.add(piece)
 
+        pairs = _PairCounts(words, list(word_counts.values()))
         merges: List[Tuple[str, str]] = []
         while len(vocab) < vocab_size:
-            pair_counts: Counter = Counter()
-            for word, pieces in segmentations.items():
-                count = word_counts[word]
-                for a, b in zip(pieces, pieces[1:]):
-                    pair_counts[(a, b)] += count
-            if not pair_counts:
+            best = pairs.pop_best()
+            if best is None:
                 break
-            (best_a, best_b), best_count = pair_counts.most_common(1)[0]
+            (best_a, best_b), best_count = best
             if best_count < min_pair_count:
                 break
             merged = _merge_symbol(best_a, best_b)
             merges.append((best_a, best_b))
             vocab.add(merged)
-            for word, pieces in segmentations.items():
-                segmentations[word] = _apply_merge(pieces, best_a, best_b, merged)
+            pairs.merge(best_a, best_b, merged)
         return cls(vocab, merges)
 
     # ------------------------------------------------------------------ #
@@ -203,6 +213,103 @@ class WordPieceTokenizer:
         vocab = Vocab(tokens[len(SPECIAL_TOKENS):])
         merges = [tuple(pair) for pair in payload.get("merges", [])]
         return cls(vocab, merges)
+
+
+Pair = Tuple[str, str]
+
+
+class _PairCounts:
+    """Adjacent-pair counts over the segmented words, updated per merge.
+
+    ``counts`` maps a pair to its occurrences weighted by word frequency
+    and ``where`` maps it to the indices of the words holding it.  The
+    heap holds ``(-count, first, pair)`` entries whose ``first`` is at
+    most the smallest index in ``where[pair]``; an entry whose count has
+    moved on is dropped when it reaches the top, and one whose ``first``
+    is too small is pushed back with the right value.
+    """
+
+    def __init__(self, words: List[List[str]], freqs: List[int]):
+        self.words = words
+        self.freqs = freqs
+        self.counts: Dict[Pair, int] = {}
+        self.where: Dict[Pair, Set[int]] = {}
+        for index, pieces in enumerate(words):
+            for pair in zip(pieces, pieces[1:]):
+                self.counts[pair] = self.counts.get(pair, 0) + freqs[index]
+                self.where.setdefault(pair, set()).add(index)
+        self.heap = [(-count, min(self.where[pair]), pair)
+                     for pair, count in self.counts.items()]
+        heapq.heapify(self.heap)
+
+    def pop_best(self) -> Optional[Tuple[Pair, int]]:
+        """The most frequent pair and its count, None when no pair is left.
+
+        Among equally frequent pairs it returns the one met first when the
+        words are scanned in index order, each left to right: the smallest
+        (first word index, first position in that word's segmentation).
+        """
+        heap = self.heap
+        top: Optional[Tuple[int, int]] = None
+        ties: Set[Pair] = set()
+        while heap:
+            negative, first, pair = heap[0]
+            if top is not None and (negative, first) != top:
+                break
+            if self.counts.get(pair) != -negative:
+                heapq.heappop(heap)
+                continue
+            actual = min(self.where[pair])
+            if actual != first:
+                heapq.heapreplace(heap, (negative, actual, pair))
+                continue
+            heapq.heappop(heap)
+            top = (negative, first)
+            ties.add(pair)
+        if top is None:
+            return None
+        pieces = self.words[top[1]]
+        best = next(pair for pair in zip(pieces, pieces[1:]) if pair in ties)
+        for pair in ties - {best}:
+            heapq.heappush(heap, (*top, pair))
+        return best, -top[0]
+
+    def merge(self, a: str, b: str, merged: str) -> None:
+        """Merge ``(a, b)`` in every word holding it; recount only those.
+
+        A pair gains a word only next to ``merged``.  No earlier merge made
+        that symbol: a piece forms only from merges among its own
+        characters, which go the same way wherever those characters
+        occur, so one symbol string has one merge.  A pair that gains a
+        word is therefore new and its count changes.  Every pair whose
+        count changes gets an entry with ``first = 0``; a pair that only
+        loses words keeps entries whose ``first`` is still low enough.
+        """
+        delta: Dict[Pair, int] = {}
+        for index in list(self.where[(a, b)]):
+            old = self.words[index]
+            new = _apply_merge(old, a, b, merged)
+            self.words[index] = new
+            freq = self.freqs[index]
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for pair in old_pairs:
+                delta[pair] = delta.get(pair, 0) - freq
+            for pair in new_pairs:
+                delta[pair] = delta.get(pair, 0) + freq
+            for pair in set(old_pairs).difference(new_pairs):
+                self.where[pair].discard(index)
+            for pair in set(new_pairs).difference(old_pairs):
+                self.where.setdefault(pair, set()).add(index)
+        for pair, change in delta.items():
+            if not change:
+                continue
+            count = self.counts.get(pair, 0) + change
+            if count:
+                self.counts[pair] = count
+                heapq.heappush(self.heap, (-count, 0, pair))
+            else:
+                del self.counts[pair], self.where[pair]
 
 
 def _apply_merge(pieces: List[str], a: str, b: str, merged: str) -> List[str]:

@@ -3,6 +3,8 @@ method-specific behaviours."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     BertInt,
@@ -156,6 +158,11 @@ class TestRSN:
         assert all(node >= 1000 for walk in walks for node in walk)
 
 
+# Mixed case, non-ASCII letters ("İ" lowercases to two code points) and
+# empty names of unequal lengths.
+_NAMES = st.text(alphabet="abAB éÉßİΣσ", max_size=9)
+
+
 class TestCEA:
     def test_levenshtein_known_values(self):
         assert levenshtein("kitten", "sitting") == 3
@@ -171,6 +178,21 @@ class TestCEA:
         sim = levenshtein_similarity_matrix(["abc", "xyz"], ["abc", "abd"])
         assert sim[0, 0] == pytest.approx(1.0)
         assert (sim >= 0).all() and (sim <= 1).all()
+
+    @given(st.lists(_NAMES, max_size=6), st.lists(_NAMES, max_size=6))
+    @example([], ["abc"])
+    @example(["abc", ""], [])
+    @example(["İstanbul", "KITTEN", ""], ["istanbul", "sitting", "ß", ""])
+    @settings(max_examples=150, deadline=None)
+    def test_similarity_matrix_equals_scalar_levenshtein(self, names1, names2):
+        expected = np.empty((len(names1), len(names2)))
+        for i, a in enumerate(names1):
+            for j, b in enumerate(names2):
+                a_low, b_low = a.lower(), b.lower()
+                expected[i, j] = 1.0 - levenshtein(a_low, b_low) / max(
+                    len(a_low), len(b_low), 1)
+        assert np.array_equal(levenshtein_similarity_matrix(names1, names2),
+                              expected)
 
     def test_char_ngram_identical_names_similar(self):
         emb = char_ngram_embedding(["cristiano ronaldo",

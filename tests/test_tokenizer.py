@@ -1,7 +1,9 @@
 """Vocab and WordPiece tokenizer."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.text import (
@@ -13,6 +15,7 @@ from repro.text import (
     normalize,
     pretokenize,
 )
+from repro.text.tokenizer import _apply_merge, _merge_symbol, _word_pieces_seed
 
 CORPUS = [
     "Fabian Wendelin Bruskewitz",
@@ -22,6 +25,37 @@ CORPUS = [
     "Ronaldo was born in Madeira Portugal in 1985",
     "the club was founded in 1902 in Madrid",
 ]
+
+
+def train_by_full_recount(corpus, vocab_size, min_pair_count=2):
+    """Reference BPE loop: recount every pair of every word for each merge
+    and take ``Counter.most_common(1)``.  Returns (merges, vocab tokens)."""
+    word_counts = Counter()
+    for line in corpus:
+        word_counts.update(pretokenize(line))
+    vocab = Vocab()
+    segmentations = {}
+    for word in word_counts:
+        segmentations[word] = list(_word_pieces_seed(word))
+        for piece in segmentations[word]:
+            vocab.add(piece)
+    merges = []
+    while len(vocab) < vocab_size:
+        pair_counts = Counter()
+        for word, pieces in segmentations.items():
+            for pair in zip(pieces, pieces[1:]):
+                pair_counts[pair] += word_counts[word]
+        if not pair_counts:
+            break
+        (a, b), count = pair_counts.most_common(1)[0]
+        if count < min_pair_count:
+            break
+        merged = _merge_symbol(a, b)
+        merges.append((a, b))
+        vocab.add(merged)
+        for word, pieces in segmentations.items():
+            segmentations[word] = _apply_merge(pieces, a, b, merged)
+    return merges, vocab.tokens
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +117,16 @@ class TestTraining:
     def test_vocab_size_bounded(self):
         small = WordPieceTokenizer.train(CORPUS, vocab_size=50)
         assert small.vocab_size <= 50 + 60  # chars can exceed budget slightly
+
+    @pytest.mark.parametrize("vocab_size", [50, 300, 400])
+    @pytest.mark.parametrize("min_pair_count", [1, 2])
+    def test_training_equals_full_recount(self, vocab_size, min_pair_count):
+        trained = WordPieceTokenizer.train(CORPUS, vocab_size=vocab_size,
+                                           min_pair_count=min_pair_count)
+        merges, tokens = train_by_full_recount(CORPUS, vocab_size,
+                                               min_pair_count)
+        assert trained.merges == merges
+        assert trained.vocab.tokens == tokens
 
     def test_training_is_deterministic(self):
         a = WordPieceTokenizer.train(CORPUS, vocab_size=300)
@@ -148,3 +192,27 @@ def test_tokenize_then_decode_contains_all_known_whole_words(line):
     for word in pretokenize(line):
         if tokenizer.tokenize_word(word) != ["[UNK]"]:
             assert word in decoded
+
+
+# Corpora built for ties: 2-4 letter alphabets, so many pairs share a
+# count and words repeat letters (overlapping pairs such as "aaaa").
+_TIE_CORPORA = st.integers(2, 4).flatmap(lambda size: st.lists(
+    st.lists(st.text(alphabet="abcd"[:size], min_size=1, max_size=8),
+             min_size=1, max_size=4).map(" ".join),
+    min_size=1, max_size=6))
+
+
+@given(_TIE_CORPORA, st.integers(10, 80), st.integers(1, 3))
+@example(["aaaa aaa aa a", "baaab aaab"], 40, 1)
+@example(["abab baba abba", "ab ba"], 80, 2)
+@settings(max_examples=200, deadline=None)
+def test_training_equals_full_recount_on_tied_corpora(corpus, vocab_size,
+                                                      min_pair_count):
+    trained = WordPieceTokenizer.train(corpus, vocab_size=vocab_size,
+                                       min_pair_count=min_pair_count)
+    merges, tokens = train_by_full_recount(corpus, vocab_size,
+                                           min_pair_count)
+    assert trained.merges == merges
+    assert trained.vocab.tokens == tokens
+    # Every merge makes a new symbol, which the incremental counts rely on.
+    assert len({_merge_symbol(a, b) for a, b in merges}) == len(merges)

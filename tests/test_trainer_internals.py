@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import SDEAConfig
+from repro.core import SDEAConfig, trainer
 from repro.core.attribute_module import encode_all, prepare_text_encoder
+from repro.core.candidates import gen_candidates
 from repro.core.relation_module import NeighborIndex
 from repro.core.trainer import (
     pretrain_attribute_module,
@@ -64,6 +65,60 @@ class TestAttributePretraining:
         )
         assert h2.shape == (len(texts2), config.embed_dim)
         assert len(log.valid_hits1) == len(log.losses)
+
+    @pytest.mark.parametrize("epochs, patience, stops",
+                             [(4, 10, False), (50, 1, True)])
+    def test_epochs_reuse_the_previous_validation_encode(
+            self, prepared_texts, monkeypatch, epochs, patience, stops):
+        texts1, texts2 = prepared_texts
+        config = _tiny_config(attr_epochs=epochs, patience=patience)
+        prepared = prepare_text_encoder(texts1, texts2, config,
+                                        np.random.default_rng(0))
+        calls = []
+        fresh = []
+
+        def counting_encode_all(module, encoder, *args, **kwargs):
+            calls.append(encoder)
+            return encode_all(module, encoder, *args, **kwargs)
+
+        def checking_gen_candidates(h1, h2, **kwargs):
+            fresh.append(
+                np.array_equal(h1, encode_all(prepared.module,
+                                              prepared.encoder1))
+                and np.array_equal(h2, encode_all(prepared.module,
+                                                  prepared.encoder2)))
+            return gen_candidates(h1, h2, **kwargs)
+
+        monkeypatch.setattr(trainer, "encode_all", counting_encode_all)
+        monkeypatch.setattr(trainer, "gen_candidates",
+                            checking_gen_candidates)
+        _, _, log = pretrain_attribute_module(
+            prepared.module, prepared.encoder1, prepared.encoder2,
+            [(i, i) for i in range(10)], [(i, i) for i in range(10, 14)],
+            config,
+        )
+        ran = len(log.losses)
+        assert (log.stopped_epoch >= 0) is stops
+        # First epoch, one validation per epoch, final encode; 2 each.
+        assert len(calls) == 2 + 2 * ran + 2
+        assert fresh == [True] * ran
+
+    def test_without_validation_links_every_epoch_runs(self, prepared_texts):
+        texts1, texts2 = prepared_texts
+        config = _tiny_config(attr_epochs=6, patience=2)
+        prepared = prepare_text_encoder(texts1, texts2, config,
+                                        np.random.default_rng(0))
+        h1, h2, log = pretrain_attribute_module(
+            prepared.module, prepared.encoder1, prepared.encoder2,
+            [(i, i) for i in range(10)], [], config,
+        )
+        assert len(log.losses) == 6
+        assert log.stopped_epoch == -1
+        assert log.valid_hits1 == []
+        assert np.array_equal(h1, encode_all(prepared.module,
+                                             prepared.encoder1))
+        assert np.array_equal(h2, encode_all(prepared.module,
+                                             prepared.encoder2))
 
 
 class TestRelationTraining:
