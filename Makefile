@@ -40,9 +40,10 @@ obs-check:
 
 # Training-step IR pipeline end-to-end: capture every training phase of
 # two gate-clean baselines (zero gating G-findings) and of SDEA (three
-# phases, zero error findings), assert a consistent liveness plan
+# phases, zero error findings) on the composed ops, and SDEA's three
+# phases again under use_kernels(); assert a consistent liveness plan
 # (planned <= eager <= measured peak) and a bit-for-bit replay against
-# eager (part of `make check`).
+# eager with no opaque op (part of `make check`).
 ir-check:
 	python benchmarks/ir_check.py
 

@@ -6,8 +6,8 @@ softmax, one multi-head-attention step (BERT encoder), one BiGRU step
 and writes ``BENCH_hotpath.json`` at the repo root so later perf PRs
 have a quantitative baseline to beat (``make bench-hot``).
 
-FLOP counts come from the shared analytic model in
-:mod:`repro.analysis.shapes.flops`: tensor-op workloads are measured by
+FLOP counts come from each op's formula in the registry
+(:mod:`repro.nn.ops`): tensor-op workloads are measured by
 running one repetition under the op profiler
 (:class:`repro.obs.profile.OpProfiler`) and reading its estimate; the
 raw-numpy cosine top-k workload (no autograd ops) applies the same
@@ -43,7 +43,7 @@ from repro.align.similarity import (  # noqa: E402
     topk_indices,
 )
 from repro.analysis.ir import capture_step, replay  # noqa: E402
-from repro.analysis.shapes.flops import flops_for  # noqa: E402
+from repro.nn.ops import flops_for  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
 from repro.nn.attention import MultiHeadSelfAttention  # noqa: E402
 from repro.nn.layers import MLP  # noqa: E402

@@ -17,7 +17,10 @@ capture -> analyze -> verify chain held together:
   peak <= the profiler's measured ``peak_tensor_bytes``;
 * the replay executor re-runs each captured IR and every op output and
   every parameter gradient is bit-for-bit identical to eager, with no
-  op replayed opaquely.
+  op replayed opaquely;
+* the same holds for SDEA's three phases captured under
+  ``use_kernels()``, where every fused kernel is one registered op that
+  replay re-runs from its forward and VJP like any other.
 
 (jape-stru stays out of the gate: its duplicate embedding ``take`` is a
 real G005 warning that ``repro ir --method jape-stru`` surfaces by
@@ -42,12 +45,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs  # noqa: E402
 from repro.analysis.ir import capture_method, plan_memory, replay, run_passes  # noqa: E402
+from repro.nn.kernels import use_kernels  # noqa: E402
 
-#: method -> (expected captures, severities that fail the gate)
+#: (method, fused kernels on) -> (expected captures, severities that
+#: fail the gate)
 METHODS = {
-    "mtranse": (1, ("error", "warning")),
-    "gcn-align": (1, ("error", "warning")),
-    "sdea": (3, ("error",)),
+    ("mtranse", False): (1, ("error", "warning")),
+    ("gcn-align", False): (1, ("error", "warning")),
+    ("sdea", False): (3, ("error",)),
+    ("sdea", True): (3, ("error",)),
 }
 BUDGET_SECONDS = 10.0
 
@@ -57,15 +63,20 @@ def fail(message: str):
     raise SystemExit(1)
 
 
-def check_method(method: str) -> None:
-    expected, gating = METHODS[method]
+def check_method(method: str, fused: bool) -> None:
+    expected, gating = METHODS[method, fused]
+    label = f"{method}[fused]" if fused else method
     with obs.session(runs_dir=None, profile=True) as sess:
-        captures = capture_method(method)
+        if fused:
+            with use_kernels():
+                captures = capture_method(method)
+        else:
+            captures = capture_method(method)
     measured_peak = sess.profiler.peak_live_bytes if sess.profiler else 0
     if len(captures) != expected:
-        fail(f"{method}: {len(captures)} captures, expected {expected}")
+        fail(f"{label}: {len(captures)} captures, expected {expected}")
     for capture in captures:
-        check_capture(f"{method}@{capture.step_index}", capture, gating,
+        check_capture(f"{label}@{capture.step_index}", capture, gating,
                       measured_peak)
 
 
@@ -107,13 +118,14 @@ def check_capture(label: str, capture, gating, measured_peak: int) -> None:
 
 def main() -> int:
     start = time.perf_counter()
-    for method in METHODS:
-        check_method(method)
+    for method, fused in METHODS:
+        check_method(method, fused)
     elapsed = time.perf_counter() - start
     if elapsed > BUDGET_SECONDS:
         fail(f"budget blown: {elapsed:.1f}s > {BUDGET_SECONDS:.0f}s")
-    print(f"ir-check: OK - every phase of {len(METHODS)} methods captured, "
-          f"analyzed and replayed bit-for-bit in {elapsed:.1f}s")
+    print(f"ir-check: OK - every phase of {len(METHODS)} method runs "
+          f"(SDEA composed and fused) captured, analyzed and replayed "
+          f"bit-for-bit in {elapsed:.1f}s")
     return 0
 
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from ..nn import tensor as _tensor_module
 from ..nn.hooks import Observer, register_observer
-from ..obs.attribution import op_name_from_backward
 
 __all__ = ["AnomalyError", "OpProvenance", "detect_anomaly",
            "is_anomaly_enabled"]
@@ -104,9 +103,8 @@ def _where(provenance: Optional[OpProvenance]) -> str:
 class _AnomalyObserver(Observer):
     """Records op provenance and rejects non-finite values."""
 
-    def op_created(self, out, data, parents, backward) -> None:
-        provenance = OpProvenance(op=op_name_from_backward(backward),
-                                  stack=_stack_snippet())
+    def op_created(self, out, call) -> None:
+        provenance = OpProvenance(op=call.op.name, stack=_stack_snippet())
         out._ctx = provenance
         if not _finite(out.data):
             raise AnomalyError(

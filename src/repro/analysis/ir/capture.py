@@ -22,10 +22,10 @@ records which case happened.
 Everything replay needs is snapshotted at capture time: source-tensor
 data (parameters mutate in place under the optimizer), pre/post
 backward ``.grad`` values of every gradient leaf, the seed gradient,
-and the exact dispatch order.  Op attributes (axes, indices, masks)
-are *not* passed to ``_make_child``; the replay executor recovers them
-from each op's backward-closure free variables
-(:mod:`repro.analysis.ir.replay`).
+and the exact dispatch order.  Each op node keeps its
+:class:`~repro.nn.tensor.OpCall` — the registry record and the op's
+attributes (axes, indices, masks) — which is all the replay executor
+needs to re-run it (:mod:`repro.analysis.ir.replay`).
 
 Tensors created before the window that the captured step still reads
 (cross-phase intermediates) are registered on demand — as ``leaf`` /
@@ -41,8 +41,8 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ...nn.hooks import Observer, register_observer
-from ...nn.tensor import Tensor
-from ...obs.attribution import ModulePathTracker, op_name_from_backward
+from ...nn.tensor import DEFAULT_DTYPE, OpCall, Tensor
+from ...obs.attribution import ModulePathTracker
 from .graph import IRGraph, IRNode
 
 __all__ = ["MAX_CAPTURES", "StepCapture", "IRCapture", "capture_step",
@@ -54,11 +54,11 @@ MAX_CAPTURES = 8
 
 @dataclass
 class StepCapture:
-    """One captured training step: graph + arrays + closures."""
+    """One captured training step: graph + arrays + op calls."""
 
     graph: IRGraph
     tensors: Dict[int, Tensor]                  # uid -> live tensor (strong)
-    backwards: Dict[int, Callable]              # uid -> backward closure
+    calls: Dict[int, OpCall]                    # uid -> op, attributes
     source_data: Dict[int, np.ndarray]          # uid -> leaf/const snapshot
     grads_before: Dict[int, Optional[np.ndarray]]
     grads_after: Dict[int, Optional[np.ndarray]]
@@ -138,9 +138,9 @@ class IRCapture(Observer):
     def optimizer_created(self, optimizer) -> None:
         self.param_groups.append(list(optimizer.parameters))
 
-    def op_created(self, out, data, parents, backward) -> None:
+    def op_created(self, out, call) -> None:
         if not self._done and out._backward is not None:
-            self._record_op(out, parents, data)
+            self._record_op(out, call)
 
     def node_dispatched(self, node, grad, contributions) -> None:
         if self._capturing_dispatch:
@@ -156,7 +156,7 @@ class IRCapture(Observer):
         self._uid = 0
         self._ids: Dict[int, int] = {}          # id(tensor) -> uid
         self._tensors: Dict[int, Tensor] = {}   # strong refs keep ids valid
-        self._backwards: Dict[int, Callable] = {}
+        self._calls: Dict[int, OpCall] = {}
         self._nodes: List[IRNode] = []
         self._overflowed = False
 
@@ -165,10 +165,11 @@ class IRCapture(Observer):
         self._uid += 1
         return uid
 
-    def _record_op(self, out: Tensor, parents, raw_data) -> None:
+    def _record_op(self, out: Tensor, call: OpCall) -> None:
         if len(self._nodes) >= self.max_ops:
             self._overflowed = True
             return
+        parents = call.inputs
         parent_uids = tuple(self._ids.get(id(p), -1) for p in parents)
         if any(uid < 0 for uid in parent_uids):
             parent_uids = tuple(
@@ -178,11 +179,11 @@ class IRCapture(Observer):
         uid = self._next_uid()
         node = IRNode(
             uid=uid,
-            op=op_name_from_backward(out._backward),
+            op=call.op.name,
             kind="op",
             shape=out.shape,
             dtype=str(out.dtype),
-            raw_dtype=str(getattr(raw_data, "dtype", out.dtype)),
+            raw_dtype=str(getattr(call.out, "dtype", out.dtype)),
             parents=parent_uids,
             module=self._paths.path(),
             requires_grad=out.requires_grad,
@@ -190,7 +191,7 @@ class IRCapture(Observer):
         )
         self._ids[id(out)] = uid
         self._tensors[uid] = out
-        self._backwards[uid] = out._backward
+        self._calls[uid] = call
         self._nodes.append(node)
 
     def _register_source(self, t: Tensor) -> int:
@@ -207,12 +208,12 @@ class IRCapture(Observer):
             parent_uids = tuple(self._register_source(p) for p in t._parents)
             uid = self._next_uid()
             node = IRNode(
-                uid=uid, op=op_name_from_backward(t._backward),
+                uid=uid, op=t._backward.op.name,
                 kind="external", shape=t.shape, dtype=str(t.dtype),
                 raw_dtype=str(t.dtype), parents=parent_uids, module="",
                 requires_grad=t.requires_grad, has_backward=True,
             )
-            self._backwards[uid] = t._backward
+            self._calls[uid] = t._backward
         else:
             uid = self._next_uid()
             kind = "leaf" if t.requires_grad else "const"
@@ -337,11 +338,11 @@ class IRCapture(Observer):
         return StepCapture(
             graph=graph,
             tensors=dict(self._tensors),
-            backwards=dict(self._backwards),
+            calls=dict(self._calls),
             source_data=source_data,
             grads_before=dict(self._grads_before),
             grads_after=grads_after,
-            seed_grad=np.array(grad, dtype=np.float64, copy=True),
+            seed_grad=np.array(grad, dtype=DEFAULT_DTYPE, copy=True),
             clean=clean,
             step_index=self._backward_count,
             params=self._param_group(signature),

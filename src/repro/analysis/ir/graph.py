@@ -6,7 +6,7 @@ creation (SSA) order, plus the backward root and the exact
 ``_backward_dispatch`` schedule the engine executed.  Everything the
 analysis passes (:mod:`repro.analysis.ir.passes`) and the replay
 executor (:mod:`repro.analysis.ir.replay`) need that is *not* a numpy
-array lives here; the arrays, backward closures and leaf snapshots stay
+array lives here; the arrays, op calls and leaf snapshots stay
 on the owning :class:`repro.analysis.ir.capture.StepCapture`.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = ["IRNode", "IRGraph", "NODE_KINDS"]
 
-#: ``op``       — created through ``Tensor._make_child`` in the window;
+#: ``op``       — created by an op application in the window;
 #: ``leaf``     — trainable source (requires_grad, no backward): a param;
 #: ``const``    — non-trainable source (batch data, masks, constants);
 #: ``external`` — op node created *before* the window that the captured

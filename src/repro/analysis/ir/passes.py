@@ -47,12 +47,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ...nn.tensor import DEFAULT_DTYPE, Tensor
+from ...nn.tensor import DEFAULT_DTYPE
 from ..findings import Finding, count_findings, filter_findings, \
     format_findings_text, gate_findings
 from .capture import StepCapture
 from .graph import IRGraph, IRNode
-from .replay import closure_freevars
 
 __all__ = ["G_CODES", "MemoryPlan", "plan_memory", "run_passes", "IRReport"]
 
@@ -96,7 +95,7 @@ def _finding(code: str, message: str, where: str = "") -> Finding:
 # ---------------------------------------------------------------------- #
 # G001 — liveness / memory planning
 # ---------------------------------------------------------------------- #
-#: What each op's backward closure actually reads, beyond shapes:
+#: What each op's VJP (repro.nn.ops) actually reads, beyond shapes:
 #: (parent indices whose *values* it needs, whether it needs its own
 #: output).  Ops absent from this table are treated conservatively
 #: (all parents + output) — fused kernels land there.
@@ -105,10 +104,10 @@ _BACKWARD_NEEDS: Dict[str, Tuple[object, bool]] = {
     "transpose": ((), False), "swapaxes": ((), False),
     "reshape": ((), False), "getitem": ((), False), "take": ((), False),
     "concatenate": ((), False), "stack": ((), False), "where": ((), False),
-    "sum": ((), False), "mean": ((), False),
-    "relu": ((), False), "abs": ((), False), "clip_min": ((), False),
+    "sum": ((), False), "mean": ((), False), "relu": ((), False),
     "mul": ("all", False), "div": ("all", False), "matmul": ("all", False),
-    "pow": ((0,), False), "log": ((0,), False),
+    "pow": ((0,), False), "log": ((0,), False), "abs": ((0,), False),
+    "clip_min": ((0,), False),
     "exp": ((), True), "sqrt": ((), True), "tanh": ((), True),
     "sigmoid": ((), True),
     "max": ((0,), True),
@@ -123,11 +122,11 @@ class MemoryPlan:
     ops are pass G002's business; parameters and input constants are
     outside the planner's control).  ``eager_peak_bytes`` is what the
     engine holds at backward start — every one of those outputs is
-    pinned by the closure chain hanging off the root — and is therefore
+    pinned by the backward nodes hanging off the root — and is therefore
     a lower bound on the profiler's measured ``peak_tensor_bytes`` for
     the same step.  ``planned_peak_bytes`` frees each buffer after its
-    last structural use (forward consumers + what backward closures
-    actually read), so planned <= eager <= measured.
+    last structural use (forward consumers + what the VJPs actually
+    read), so planned <= eager <= measured.
     """
 
     eager_peak_bytes: int = 0
@@ -421,7 +420,7 @@ def _pass_fusion(capture: StepCapture) -> List[Finding]:
 # G005 — redundant recompute (value CSE)
 # ---------------------------------------------------------------------- #
 def _freeze(value):
-    """Hashable stand-in for a closure attribute: arrays by content,
+    """Hashable stand-in for an op attribute: arrays by content,
     sequences item by item, anything else (axes, slices, flags) by
     ``repr``."""
     if isinstance(value, np.ndarray):
@@ -429,19 +428,6 @@ def _freeze(value):
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(item) for item in value)
     return repr(value)
-
-
-def _closure_attrs(backward) -> Tuple:
-    """An op's non-tensor attributes (axes, indices, slices), as held by
-    its backward closure; tensor operands are the node's parents."""
-    attrs = []
-    for name, value in sorted(closure_freevars(backward).items()):
-        if isinstance(value, Tensor) or (
-                isinstance(value, (list, tuple))
-                and any(isinstance(item, Tensor) for item in value)):
-            continue
-        attrs.append((name, _freeze(value)))
-    return tuple(attrs)
 
 
 def _pass_redundant_recompute(capture: StepCapture,
@@ -460,7 +446,9 @@ def _pass_redundant_recompute(capture: StepCapture,
         # and their outputs are bit-identical.
         same: Dict[Tuple, List[IRNode]] = {}
         for node in nodes:
-            key = (_closure_attrs(capture.backwards[node.uid]),
+            attrs = capture.calls[node.uid].attrs
+            key = (tuple((name, _freeze(value))
+                         for name, value in sorted(attrs.items())),
                    capture.tensors[node.uid].data.tobytes())
             same.setdefault(key, []).append(node)
         for dupes in same.values():

@@ -17,9 +17,6 @@ Three layers (see ``docs/static_analysis.md``):
 * :mod:`.spec` — the :func:`shape_spec` contract decorator for layer
   ``forward`` methods plus :func:`verify_module_calls`, which checks
   the declared templates at every module boundary.
-* :mod:`.flops` — analytic FLOP estimates over the same op surface:
-  ``flops_for(op, parent_shapes, out_shape)``, shared by the op
-  profiler (:mod:`repro.obs.profile`) and the hot-path benchmarks.
 
 The whole-model interpreter (:mod:`.interpreter`) and the per-method
 probes (:mod:`.probes`) are intentionally *not* imported here: they
@@ -35,9 +32,6 @@ from .abstract import (
     AbstractTensor,
     ShapeEvent,
     SymbolicTrace,
-    abstract_concatenate,
-    abstract_stack,
-    abstract_where,
     broadcast_sym,
     current_trace,
     lift_tensor,
@@ -57,16 +51,13 @@ from .dims import (
     contains_guarded,
     enforce_constraints,
 )
-from .flops import FLOP_FORMULAS, covered_ops, flops_for
 from .spec import ShapeSpec, shape_spec, verify_module_calls
 
 __all__ = [
-    "FLOP_FORMULAS", "covered_ops", "flops_for",
     "Dim", "DimExpr", "ShapeEnv", "as_expr", "contains_guarded",
     "Constraint", "ConstraintError", "Eq", "Divides", "Positive", "OneOf",
     "check_constraints", "enforce_constraints",
     "AbstractTensor", "AbstractShapeError", "ShapeEvent", "SymbolicTrace",
     "current_trace", "lift_tensor", "broadcast_sym",
-    "abstract_concatenate", "abstract_stack", "abstract_where",
     "ShapeSpec", "shape_spec", "verify_module_calls",
 ]

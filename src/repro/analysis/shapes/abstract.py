@@ -16,17 +16,18 @@ against a broadcast-guarded dim (lost ``keepdims`` bugs) and floating
 results that deviate from ``nn.DEFAULT_DTYPE``.  Hard shape violations
 raise :class:`AbstractShapeError`.
 
-Mixed real/abstract expressions stay abstract: reflected operators on
-the subclass take priority (``real + abstract`` routes here), and the
-``concatenate``/``stack``/``where`` free functions in ``nn.tensor``
-dispatch to the ``_*_override`` hooks defined on this class.
+The class adds no op methods: it overrides the one ``Tensor._apply``
+every op goes through and runs the op's shape rule from the registry
+(:mod:`repro.nn.ops`) instead of its numpy forward, handing the rule a
+:class:`RuleContext`.  ``nn.tensor.apply`` gives the call to the first
+abstract operand, so mixed real/abstract expressions (``real +
+abstract``, ``concatenate([real, abstract])``) stay abstract.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,13 +37,12 @@ from .dims import Dim, DimExpr, ShapeEnv, as_expr, contains_guarded
 __all__ = [
     "AbstractShapeError",
     "AbstractTensor",
+    "Operand",
+    "RuleContext",
     "ShapeEvent",
     "SymbolicTrace",
     "current_trace",
     "lift_tensor",
-    "abstract_concatenate",
-    "abstract_stack",
-    "abstract_where",
 ]
 
 
@@ -167,6 +167,80 @@ def _note_dtype(op: str, dtype: np.dtype) -> None:
 
 
 # ---------------------------------------------------------------------- #
+# What an op's shape rule works with (Op.shape in repro.nn.ops)
+# ---------------------------------------------------------------------- #
+class Operand(NamedTuple):
+    """One operand as a shape rule sees it."""
+
+    shape: tuple
+    #: A 0-d array of the operand's dtype, or the raw Python scalar (so
+    #: numpy's weak scalar promotion applies when a rule probes dtypes).
+    probe: object
+    requires_grad: bool
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.asarray(self.probe).dtype
+
+    @classmethod
+    def of(cls, value) -> "Operand":
+        if isinstance(value, AbstractTensor):
+            return cls(value.sym, np.ones((), value.data.dtype),
+                       value.requires_grad)
+        if isinstance(value, Tensor):
+            return cls(_resym(value.shape), np.ones((), value.data.dtype),
+                       value.requires_grad)
+        if isinstance(value, (bool, int, float, complex)):
+            return cls((), value, False)
+        arr = np.asarray(value)
+        return cls(_resym(arr.shape), np.ones((), arr.dtype), False)
+
+
+class RuleContext:
+    """The symbolic toolkit one op's shape rule runs with."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def broadcast(self, *shapes) -> tuple:
+        """Broadcast the shapes left to right (see :func:`broadcast_sym`)."""
+        out = shapes[0]
+        for shape in shapes[1:]:
+            out = broadcast_sym(out, shape, self.op.name)
+        return out
+
+    def dtype(self, operands: Sequence[Operand], attrs: dict) -> np.dtype:
+        """The dtype the op's numpy forward gives on 0-d probes."""
+        out = self.op.forward(*(o.probe for o in operands), **attrs)
+        return np.asarray(out[0] if self.op.saves else out).dtype
+
+    @staticmethod
+    def error(message: str) -> AbstractShapeError:
+        return AbstractShapeError(message)
+
+    @staticmethod
+    def resym(shape: Sequence[int]) -> tuple:
+        return _resym(shape)
+
+    @staticmethod
+    def fmt(shape: tuple) -> str:
+        return _fmt_shape(shape)
+
+    @staticmethod
+    def total(entries: Sequence):
+        """Sum of dims (a concatenated axis), affine when symbolic."""
+        total = as_expr(entries[0])
+        for entry in entries[1:]:
+            total = total + as_expr(entry)
+        return total.const if not total.terms else total
+
+    @staticmethod
+    def pick(entries: Sequence):
+        """The symbolic entry among equal-sized ones, else the first."""
+        return next((e for e in entries if _is_symbolic(e)), entries[0])
+
+
+# ---------------------------------------------------------------------- #
 # The abstract tensor itself
 # ---------------------------------------------------------------------- #
 class AbstractTensor(Tensor):
@@ -197,9 +271,6 @@ class AbstractTensor(Tensor):
         self._ctx = None
         self.sym = sym
 
-    # -------------------------------------------------------------- #
-    # Introspection
-    # -------------------------------------------------------------- #
     @property
     def shape(self) -> tuple:
         return self.sym
@@ -212,300 +283,15 @@ class AbstractTensor(Tensor):
     def detach(self) -> "AbstractTensor":
         return AbstractTensor(self.sym, self.data.dtype, requires_grad=False)
 
-    # -------------------------------------------------------------- #
-    # Lifting and dtype probing
-    # -------------------------------------------------------------- #
     @staticmethod
-    def _meta(value):
-        """(symbolic shape, 0-d dtype probe value, requires_grad)."""
-        if isinstance(value, AbstractTensor):
-            return value.sym, np.ones((), value.data.dtype), value.requires_grad
-        if isinstance(value, Tensor):
-            return (_resym(value.shape), np.ones((), value.data.dtype),
-                    value.requires_grad)
-        if isinstance(value, (bool, int, float, complex)):
-            # Keep python scalars raw so numpy's weak-promotion rules apply.
-            return (), value, False
-        arr = np.asarray(value)
-        return _resym(arr.shape), np.ones((), arr.dtype), False
-
-    def _result(self, sym, dtype, requires_grad, op: str) -> "AbstractTensor":
+    def _apply(op, operands: tuple, attrs: dict) -> "AbstractTensor":
+        """Run ``op``'s shape rule in place of its forward."""
+        args = [Operand.of(value) for value in operands]
+        shape, dtype = op.shape(RuleContext(op), *args, **attrs)
         dtype = np.dtype(dtype)
-        _note_dtype(op, dtype)
-        rg = is_grad_enabled() and requires_grad
-        return AbstractTensor(sym, dtype, requires_grad=rg)
-
-    # -------------------------------------------------------------- #
-    # Elementwise arithmetic
-    # -------------------------------------------------------------- #
-    def _binary(self, other, opfn, opname, reflect=False):
-        o_sym, o_probe, o_rg = self._meta(other)
-        s_probe = np.ones((), self.data.dtype)
-        if reflect:
-            sym = broadcast_sym(o_sym, self.sym, opname)
-            dtype = np.asarray(opfn(o_probe, s_probe)).dtype
-        else:
-            sym = broadcast_sym(self.sym, o_sym, opname)
-            dtype = np.asarray(opfn(s_probe, o_probe)).dtype
-        return self._result(sym, dtype, self.requires_grad or o_rg, opname)
-
-    def __add__(self, other):
-        return self._binary(other, operator.add, "add")
-
-    def __radd__(self, other):
-        return self._binary(other, operator.add, "add", reflect=True)
-
-    def __sub__(self, other):
-        return self._binary(other, operator.sub, "sub")
-
-    def __rsub__(self, other):
-        return self._binary(other, operator.sub, "sub", reflect=True)
-
-    def __mul__(self, other):
-        return self._binary(other, operator.mul, "mul")
-
-    def __rmul__(self, other):
-        return self._binary(other, operator.mul, "mul", reflect=True)
-
-    def __truediv__(self, other):
-        return self._binary(other, operator.truediv, "div")
-
-    def __rtruediv__(self, other):
-        return self._binary(other, operator.truediv, "div", reflect=True)
-
-    def __neg__(self):
-        dtype = (-np.ones((), self.data.dtype)).dtype
-        return self._result(self.sym, dtype, self.requires_grad, "neg")
-
-    def __pow__(self, exponent):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        dtype = (np.ones((), self.data.dtype) ** exponent).dtype
-        return self._result(self.sym, dtype, self.requires_grad, "pow")
-
-    # -------------------------------------------------------------- #
-    # Matrix operations
-    # -------------------------------------------------------------- #
-    def matmul(self, other):
-        o_sym, o_probe, o_rg = self._meta(other)
-        a, b = list(self.sym), list(o_sym)
-        if not a or not b:
-            raise AbstractShapeError(
-                f"matmul requires at least 1-d operands: "
-                f"{_fmt_shape(self.sym)} @ {_fmt_shape(o_sym)}"
-            )
-        a_vec, b_vec = len(a) == 1, len(b) == 1
-        if a_vec:
-            a = [1] + a
-        if b_vec:
-            b = b + [1]
-        if int(a[-1]) != int(b[-2]):
-            raise AbstractShapeError(
-                f"matmul inner dimensions differ: {a[-1]!r} "
-                f"(= {int(a[-1])}) vs {b[-2]!r} (= {int(b[-2])}) in "
-                f"{_fmt_shape(self.sym)} @ {_fmt_shape(o_sym)}"
-            )
-        batch = broadcast_sym(tuple(a[:-2]), tuple(b[:-2]), "matmul")
-        sym = list(batch) + [a[-2], b[-1]]
-        if b_vec:
-            sym = sym[:-1]
-        if a_vec:
-            sym = sym[:-2] + sym[-1:] if not b_vec else sym[:-1]
-        dtype = np.result_type(self.data.dtype, np.asarray(o_probe).dtype)
-        return self._result(tuple(sym), dtype,
-                            self.requires_grad or o_rg, "matmul")
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def __rmatmul__(self, other):
-        return _as_abstract(other).matmul(self)
-
-    def transpose(self, *axes):
-        nd = len(self.sym)
-        axes_t = tuple(axes) if axes else tuple(reversed(range(nd)))
-        sym = tuple(self.sym[a] for a in axes_t)
-        return self._result(sym, self.data.dtype, self.requires_grad,
-                            "transpose")
-
-    def swapaxes(self, axis1, axis2):
-        sym = list(self.sym)
-        sym[axis1], sym[axis2] = sym[axis2], sym[axis1]
-        return self._result(tuple(sym), self.data.dtype, self.requires_grad,
-                            "swapaxes")
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        total = int(np.prod([int(e) for e in self.sym], dtype=np.int64))
-        entries = list(shape)
-        hole = None
-        known = 1
-        for i, e in enumerate(entries):
-            if not _is_symbolic(e) and int(e) == -1:
-                if hole is not None:
-                    raise AbstractShapeError("reshape: more than one -1")
-                hole = i
-            else:
-                known *= int(e)
-        if hole is not None:
-            if known == 0 or total % known != 0:
-                raise AbstractShapeError(
-                    f"cannot reshape {_fmt_shape(self.sym)} (size {total}) "
-                    f"into {_fmt_shape(tuple(entries))}"
-                )
-            entries[hole] = total // known
-            known *= entries[hole]
-        if known != total:
-            raise AbstractShapeError(
-                f"cannot reshape {_fmt_shape(self.sym)} (size {total}) into "
-                f"{_fmt_shape(tuple(entries))} (size {known})"
-            )
-        return self._result(tuple(entries), self.data.dtype,
-                            self.requires_grad, "reshape")
-
-    # -------------------------------------------------------------- #
-    # Reductions
-    # -------------------------------------------------------------- #
-    def _reduce_sym(self, axis, keepdims):
-        nd = len(self.sym)
-        if axis is None:
-            axes = set(range(nd))
-        else:
-            axes_t = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = {a % nd for a in axes_t}
-        out = []
-        for i, e in enumerate(self.sym):
-            if i in axes:
-                if keepdims:
-                    out.append(1)
-            else:
-                out.append(e)
-        return tuple(out)
-
-    def sum(self, axis=None, keepdims=False):
-        dtype = np.ones((1,), self.data.dtype).sum().dtype
-        return self._result(self._reduce_sym(axis, keepdims), dtype,
-                            self.requires_grad, "sum")
-
-    def mean(self, axis=None, keepdims=False):
-        dtype = np.ones((1,), self.data.dtype).mean().dtype
-        return self._result(self._reduce_sym(axis, keepdims), dtype,
-                            self.requires_grad, "mean")
-
-    def max(self, axis=None, keepdims=False):
-        return self._result(self._reduce_sym(axis, keepdims), self.data.dtype,
-                            self.requires_grad, "max")
-
-    # -------------------------------------------------------------- #
-    # Elementwise nonlinearities (dtype probed on the real formula)
-    # -------------------------------------------------------------- #
-    def _unary(self, probe, opname):
-        dtype = np.asarray(probe(np.ones((), self.data.dtype))).dtype
-        return self._result(self.sym, dtype, self.requires_grad, opname)
-
-    def exp(self):
-        return self._unary(np.exp, "exp")
-
-    def log(self):
-        return self._unary(np.log, "log")
-
-    def sqrt(self):
-        return self._unary(np.sqrt, "sqrt")
-
-    def tanh(self):
-        return self._unary(np.tanh, "tanh")
-
-    def sigmoid(self):
-        def probe(x):
-            exp_neg = np.exp(-np.abs(x))
-            return np.where(x >= 0, 1.0 / (1.0 + exp_neg),
-                            exp_neg / (1.0 + exp_neg))
-        return self._unary(probe, "sigmoid")
-
-    def relu(self):
-        return self._unary(lambda x: x * (x > 0), "relu")
-
-    def abs(self):
-        return self._unary(np.abs, "abs")
-
-    def clip_min(self, minimum):
-        return self._unary(lambda x: np.maximum(x, minimum), "clip_min")
-
-    # -------------------------------------------------------------- #
-    # Indexing / gathering
-    # -------------------------------------------------------------- #
-    def __getitem__(self, index):
-        if isinstance(index, Tensor):
-            index = index.data
-        out = self.data[index]  # numpy validates on the witness
-        sym = self._getitem_sym(index, out.shape)
-        return self._result(sym, self.data.dtype, self.requires_grad,
-                            "getitem")
-
-    def _getitem_sym(self, index, out_shape):
-        idx = list(index) if isinstance(index, tuple) else [index]
-        basic = all(
-            isinstance(e, (int, np.integer, slice)) or e is Ellipsis
-            for e in idx
-        )
-        if not basic:
-            # Advanced indexing: fall back to resymbolizing the witness.
-            return _resym(out_shape)
-        if Ellipsis in idx:
-            pos = idx.index(Ellipsis)
-            fill = len(self.sym) - (len(idx) - 1)
-            idx = idx[:pos] + [slice(None)] * fill + idx[pos + 1:]
-        sym = []
-        axis = 0
-        for e in idx:
-            entry = self.sym[axis]
-            if isinstance(e, slice):
-                if e == slice(None):
-                    sym.append(entry)
-                else:
-                    sym.append(len(range(*e.indices(int(entry)))))
-            # integer index: axis is dropped
-            axis += 1
-        sym.extend(self.sym[axis:])
-        return tuple(sym)
-
-    def take(self, indices, axis=0):
-        indices = np.asarray(
-            indices.data if isinstance(indices, Tensor) else indices
-        )
-        axis = axis % len(self.sym)
-        sym = (self.sym[:axis] + _resym(indices.shape)
-               + self.sym[axis + 1:])
-        return self._result(sym, self.data.dtype, self.requires_grad, "take")
-
-    # -------------------------------------------------------------- #
-    # Safety net: any inherited op we did not override still yields an
-    # abstract child (computed on the tiny witness buffers).
-    # -------------------------------------------------------------- #
-    def _make_child(self, data, parents, backward):
-        arr = np.asarray(data)
-        rg = any(p.requires_grad for p in parents)
-        return self._result(_resym(arr.shape), arr.dtype, rg, "op")
-
-    # -------------------------------------------------------------- #
-    # Dispatch hooks for the tensor.py free functions
-    # -------------------------------------------------------------- #
-    def _concat_override(self, tensors, axis):
-        return abstract_concatenate(tensors, axis)
-
-    def _stack_override(self, tensors, axis):
-        return abstract_stack(tensors, axis)
-
-    def _where_override(self, condition, a, b):
-        return abstract_where(condition, a, b)
-
-
-def _as_abstract(value) -> AbstractTensor:
-    if isinstance(value, AbstractTensor):
-        return value
-    sym, probe, rg = AbstractTensor._meta(value)
-    return AbstractTensor(sym, np.asarray(probe).dtype, requires_grad=rg)
+        _note_dtype(op.name, dtype)
+        rg = is_grad_enabled() and any(a.requires_grad for a in args)
+        return AbstractTensor(shape, dtype, requires_grad=rg)
 
 
 def lift_tensor(tensor: Tensor, env: Optional[ShapeEnv] = None) -> AbstractTensor:
@@ -513,73 +299,3 @@ def lift_tensor(tensor: Tensor, env: Optional[ShapeEnv] = None) -> AbstractTenso
     sym = env.resymbolize(tensor.shape) if env is not None else _resym(tensor.shape)
     return AbstractTensor(sym, tensor.data.dtype,
                           requires_grad=tensor.requires_grad)
-
-
-# ---------------------------------------------------------------------- #
-# Abstract counterparts of the tensor.py free functions
-# ---------------------------------------------------------------------- #
-def abstract_concatenate(tensors: Sequence, axis: int = 0) -> AbstractTensor:
-    metas = [AbstractTensor._meta(t) for t in tensors]
-    syms = [m[0] for m in metas]
-    nd = len(syms[0])
-    if any(len(s) != nd for s in syms):
-        raise AbstractShapeError(
-            "concatenate: operands have different ranks: "
-            + ", ".join(_fmt_shape(s) for s in syms)
-        )
-    axis = axis % nd
-    out = []
-    for i in range(nd):
-        entries = [s[i] for s in syms]
-        if i == axis:
-            total = as_expr(entries[0])
-            for e in entries[1:]:
-                total = total + as_expr(e)
-            out.append(total.const if not total.terms else total)
-            continue
-        witnesses = {int(e) for e in entries}
-        if len(witnesses) != 1:
-            raise AbstractShapeError(
-                f"concatenate: non-axis dimension {i} differs: "
-                + ", ".join(_fmt_shape(s) for s in syms)
-            )
-        out.append(next((e for e in entries if _is_symbolic(e)), entries[0]))
-    dtype = np.result_type(*[np.asarray(m[1]).dtype for m in metas])
-    rg = is_grad_enabled() and any(m[2] for m in metas)
-    result = AbstractTensor(tuple(out), dtype, requires_grad=rg)
-    _note_dtype("concatenate", result.data.dtype)
-    return result
-
-
-def abstract_stack(tensors: Sequence, axis: int = 0) -> AbstractTensor:
-    metas = [AbstractTensor._meta(t) for t in tensors]
-    syms = [m[0] for m in metas]
-    witnesses = {tuple(int(e) for e in s) for s in syms}
-    if len(witnesses) != 1:
-        raise AbstractShapeError(
-            "stack: operands have different shapes: "
-            + ", ".join(_fmt_shape(s) for s in syms)
-        )
-    merged = [next((s[i] for s in syms if _is_symbolic(s[i])), syms[0][i])
-              for i in range(len(syms[0]))]
-    axis = axis % (len(merged) + 1)
-    new_entry = _resym((len(tensors),))[0]
-    merged.insert(axis, new_entry)
-    dtype = np.result_type(*[np.asarray(m[1]).dtype for m in metas])
-    rg = is_grad_enabled() and any(m[2] for m in metas)
-    result = AbstractTensor(tuple(merged), dtype, requires_grad=rg)
-    _note_dtype("stack", result.data.dtype)
-    return result
-
-
-def abstract_where(condition, a, b) -> AbstractTensor:
-    c_sym, _, _ = AbstractTensor._meta(condition)
-    a_sym, a_probe, a_rg = AbstractTensor._meta(a)
-    b_sym, b_probe, b_rg = AbstractTensor._meta(b)
-    sym = broadcast_sym(broadcast_sym(c_sym, a_sym, "where"), b_sym, "where")
-    dtype = np.result_type(np.asarray(a_probe).dtype,
-                           np.asarray(b_probe).dtype)
-    rg = is_grad_enabled() and (a_rg or b_rg)
-    result = AbstractTensor(sym, dtype, requires_grad=rg)
-    _note_dtype("where", result.data.dtype)
-    return result

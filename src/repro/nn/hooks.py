@@ -10,7 +10,7 @@ method, so any number of them compose and leave in any order.
 
 The engine calls every registered observer, in registration order, at:
 
-* ``op_created`` — ``Tensor._make_child`` built an op's output;
+* ``op_created`` — the engine built an op's output;
 * ``node_dispatched`` — backward computed one node's parent gradient
   contributions, before they are routed to the parents;
 * ``backward_started`` / ``backward_finished`` — around the graph walk
@@ -43,10 +43,13 @@ observers: Tuple["Observer", ...] = ()
 class Observer:
     """Base engine observer: every event is a no-op until overridden."""
 
-    def op_created(self, out, data, parents, backward) -> None:
-        """``out`` was built from ``parents``; ``data`` is the raw result
-        before the ``Tensor`` constructor cast it, ``backward`` the op's
-        closure (also passed when ``out`` records no graph)."""
+    def op_created(self, out, call) -> None:
+        """``call`` (a :class:`repro.nn.tensor.OpCall`) built ``out``:
+        ``call.op`` is the registry record (:mod:`repro.nn.ops`),
+        ``call.attrs`` its attributes, ``call.inputs`` the operand
+        tensors and ``call.out`` the raw result before the ``Tensor``
+        constructor cast it.  Sent also when ``out`` records no graph;
+        ``out._backward is call`` when it does."""
 
     def node_dispatched(self, node, grad, contributions) -> None:
         """``node``'s backward mapped ``grad`` to ``contributions``, one
@@ -54,7 +57,7 @@ class Observer:
 
     def backward_started(self, root, grad) -> None:
         """``root.backward()`` is about to walk the graph from the seed
-        ``grad`` (already a float64 array)."""
+        ``grad`` (already a ``DEFAULT_DTYPE`` array)."""
 
     def backward_finished(self, root, grad) -> None:
         """The walk started by ``backward_started`` returned."""

@@ -1,9 +1,11 @@
 """Fused autograd kernels and their one activation switch.
 
 Each kernel collapses a composed autograd subgraph into a **single
-node** with a hand-derived backward, eliminating the Python per-op
-dispatch that dominates the hot paths (the BiGRU recurrence ran at
-0.63 GFLOP/s composed vs ~30 for a plain matmul on the same host).
+node** with a hand-derived backward — one op record in the registry
+(:mod:`repro.nn.ops`), registered beside its math — eliminating the
+Python per-op dispatch that dominates the hot paths (the BiGRU
+recurrence ran at 0.63 GFLOP/s composed vs ~30 for a plain matmul on
+the same host).
 Every fused forward replicates the reference numpy arithmetic
 op-for-op and every backward replays the composed graph's float
 operations in the engine's dispatch order, so outputs, gradients and

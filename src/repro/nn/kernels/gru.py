@@ -35,7 +35,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..ops import defop, numel
+from ..tensor import Tensor, apply
 
 __all__ = ["fused_gru_sequence"]
 
@@ -81,30 +82,16 @@ def _step_forward(gx: np.ndarray, h: np.ndarray, ud: np.ndarray,
     return r, z, c, rh, h_new
 
 
-def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
-                       u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """A whole masked GRU recurrence as a single autograd node.
-
-    ``x``: ``(B, T, D_in)``; ``mask``: boolean ``(B, T)`` (``None`` means
-    all valid); packed ``w``/``u``/``b`` in ``[r | z | c]`` order.
-    Returns the per-timestep hidden states ``(B, T, H)``, matching
-    :class:`repro.nn.rnn.GRU` bitwise (initial hidden state is zeros;
-    padded positions carry the previous state through).
-    """
-    batch, steps, d_in = x.shape
-    hidden = u.shape[0]
-    if w.shape != (d_in, 3 * hidden) or u.shape[1] != 3 * hidden \
-            or b.shape != (3 * hidden,):
+def _gru_forward(xd, wd, ud, bd, mask, reverse):
+    batch, steps, d_in = xd.shape
+    hidden = ud.shape[0]
+    if wd.shape != (d_in, 3 * hidden) or ud.shape[1] != 3 * hidden \
+            or bd.shape != (3 * hidden,):
         raise ValueError(
             f"packed GRU weights must be (D,3H)/(H,3H)/(3H,) for H={hidden}; "
-            f"got w={w.shape}, u={u.shape}, b={b.shape}"
+            f"got w={wd.shape}, u={ud.shape}, b={bd.shape}"
         )
-    xd, wd, ud, bd = x.data, w.data, u.data, b.data
-    if mask is None:
-        mask = np.ones((batch, steps), dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
     mask_all = bool(mask.all())
-    two_h = 2 * hidden
 
     # Hoist the input projection for every timestep into one matmul.
     gx_all = (xd.reshape(batch * steps, d_in) @ wd).reshape(
@@ -126,67 +113,117 @@ def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
         zs.append(z)
         cs.append(c)
         rhs.append(rh)
+    return out, (order, hs, rs, zs, cs, rhs)
 
+
+def _gru_vjp(g, out, saved, xd, wd, ud, bd, mask, reverse):
+    # Replay of the composed loop's backward in the engine's dispatch
+    # order.  Per step the hidden-state gradient of h_{t-1} accumulates
+    # as
+    #   take(g, t-1) + where-passthrough + g_new*(1-z)
+    #   + dpre_z @ u_z.T + d(r*h) * r + dpre_r @ u_r.T
+    # in exactly that sequence, and parameter gradients are per-gate
+    # matmuls accumulated step by step in reverse execution order (flat
+    # batched matmuls would change the BLAS summation order).
+    order, hs, rs, zs, cs, rhs = saved
+    hidden = ud.shape[0]
+    two_h = 2 * hidden
     w_r, w_z, w_c = wd[:, :hidden], wd[:, hidden:two_h], wd[:, two_h:]
     u_r, u_z, u_c = ud[:, :hidden], ud[:, hidden:two_h], ud[:, two_h:]
+    dx = np.empty_like(xd)
+    dw = np.zeros_like(wd)
+    du = np.zeros_like(ud)
+    db = np.zeros_like(bd)
+    hg = None
+    for i in range(len(order) - 1, -1, -1):
+        t = order[i]
+        if hg is None:
+            hg = g[:, t, :]
+        cond = mask[:, t:t + 1]
+        ghn = np.where(cond, hg, 0.0)
+        pass_g = np.where(cond, 0.0, hg)
+        h_prev, r, z, c, rh = hs[i], rs[i], zs[i], cs[i], rhs[i]
+        x_t = xd[:, t, :]
+        s1 = 1.0 - z
+        gz = np.negative(ghn * h_prev)
+        gz += ghn * c
+        gc = ghn * z
+        gz *= z
+        gz *= s1                    # dpre_z
+        db[hidden:two_h] += gz.sum(axis=0)
+        dx_t = gz @ w_z.T
+        dw[:, hidden:two_h] += x_t.T @ gz
+        if i > 0:
+            hgn = g[:, order[i - 1], :] + pass_g
+            hgn += ghn * s1
+            hgn += gz @ u_z.T
+        gc *= 1.0 - c ** 2          # dpre_c
+        db[two_h:] += gc.sum(axis=0)
+        dx_t += gc @ w_c.T
+        dw[:, two_h:] += x_t.T @ gc
+        grh = gc @ u_c.T
+        du[:, two_h:] += rh.T @ gc
+        if i > 0:
+            hgn += grh * r
+        gr = grh * h_prev
+        gr *= r
+        gr *= 1.0 - r               # dpre_r
+        db[:hidden] += gr.sum(axis=0)
+        dx_t += gr @ w_r.T
+        dw[:, :hidden] += x_t.T @ gr
+        if i > 0:
+            hgn += gr @ u_r.T
+        du[:, :hidden] += h_prev.T @ gr
+        du[:, hidden:two_h] += h_prev.T @ gz
+        dx[:, t, :] = dx_t
+        hg = hgn if i > 0 else None
+    return dx, dw, du, db
 
-    def backward(g):
-        # Replay of the composed loop's backward in the engine's
-        # dispatch order.  Per step the hidden-state gradient of
-        # h_{t-1} accumulates as
-        #   take(g, t-1) + where-passthrough + g_new*(1-z)
-        #   + dpre_z @ u_z.T + d(r*h) * r + dpre_r @ u_r.T
-        # in exactly that sequence, and parameter gradients are
-        # per-gate matmuls accumulated step by step in reverse
-        # execution order (flat batched matmuls would change the
-        # BLAS summation order).
-        dx = np.empty_like(xd)
-        dw = np.zeros_like(wd)
-        du = np.zeros_like(ud)
-        db = np.zeros_like(bd)
-        hg = None
-        for i in range(len(order) - 1, -1, -1):
-            t = order[i]
-            if hg is None:
-                hg = g[:, t, :]
-            cond = mask[:, t:t + 1]
-            ghn = np.where(cond, hg, 0.0)
-            pass_g = np.where(cond, 0.0, hg)
-            h_prev, r, z, c, rh = hs[i], rs[i], zs[i], cs[i], rhs[i]
-            x_t = xd[:, t, :]
-            s1 = 1.0 - z
-            gz = np.negative(ghn * h_prev)
-            gz += ghn * c
-            gc = ghn * z
-            gz *= z
-            gz *= s1                    # dpre_z
-            db[hidden:two_h] += gz.sum(axis=0)
-            dx_t = gz @ w_z.T
-            dw[:, hidden:two_h] += x_t.T @ gz
-            if i > 0:
-                hgn = g[:, order[i - 1], :] + pass_g
-                hgn += ghn * s1
-                hgn += gz @ u_z.T
-            gc *= 1.0 - c ** 2          # dpre_c
-            db[two_h:] += gc.sum(axis=0)
-            dx_t += gc @ w_c.T
-            dw[:, two_h:] += x_t.T @ gc
-            grh = gc @ u_c.T
-            du[:, two_h:] += rh.T @ gc
-            if i > 0:
-                hgn += grh * r
-            gr = grh * h_prev
-            gr *= r
-            gr *= 1.0 - r               # dpre_r
-            db[:hidden] += gr.sum(axis=0)
-            dx_t += gr @ w_r.T
-            dw[:, :hidden] += x_t.T @ gr
-            if i > 0:
-                hgn += gr @ u_r.T
-            du[:, :hidden] += h_prev.T @ gr
-            du[:, hidden:two_h] += h_prev.T @ gz
-            dx[:, t, :] = dx_t
-            hg = hgn if i > 0 else None
-        return dx, dw, du, db
 
-    return x._make_child(out, (x, w, u, b), backward)
+def _gru_flops(operands, out) -> int:
+    # Operands lead with x: (B, T, D); out is (B, T, H).  Per output
+    # element: three matmul contractions (x-projection to 3H,
+    # h-projection to 2H, candidate (r*h) projection to H -> 6D + 6H
+    # multiply-adds) plus two sigmoids, one tanh and the gate/blend
+    # arithmetic (~22 FLOPs).
+    if not operands or not operands[0] or not out:
+        return 0
+    return numel(out) * (6 * int(operands[0][-1]) + 6 * int(out[-1]) + 22)
+
+
+def _gru_shape(ctx, x, w, u, b, *, mask, reverse):
+    if len(x.shape) != 3 or len(w.shape) != 2 or len(u.shape) != 2 \
+            or len(b.shape) != 1:
+        raise ctx.error(
+            f"GRU sequence needs x (B,T,D), w (D,3H), u (H,3H), b (3H,); got "
+            f"{', '.join(ctx.fmt(o.shape) for o in (x, w, u, b))}")
+    batch, steps, d_in = x.shape
+    hidden = u.shape[0]
+    gates = 3 * int(hidden)
+    if int(w.shape[0]) != int(d_in) or int(w.shape[1]) != gates \
+            or int(u.shape[1]) != gates or int(b.shape[0]) != gates:
+        raise ctx.error(
+            f"packed GRU weights must be (D,3H)/(H,3H)/(3H,) for "
+            f"H={hidden!r}; got w={ctx.fmt(w.shape)}, u={ctx.fmt(u.shape)}, "
+            f"b={ctx.fmt(b.shape)}")
+    return (batch, steps, hidden), x.dtype
+
+
+GRU_SEQUENCE = defop("fused_gru_sequence", _gru_forward, _gru_vjp,
+                     _gru_flops, _gru_shape, saves=True)
+
+
+def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,
+                       u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """A whole masked GRU recurrence as a single autograd node.
+
+    ``x``: ``(B, T, D_in)``; ``mask``: boolean ``(B, T)`` (``None`` means
+    all valid); packed ``w``/``u``/``b`` in ``[r | z | c]`` order.
+    Returns the per-timestep hidden states ``(B, T, H)``, matching
+    :class:`repro.nn.rnn.GRU` bitwise (initial hidden state is zeros;
+    padded positions carry the previous state through).
+    """
+    if mask is None:
+        mask = np.ones(x.shape[:2], dtype=bool)
+    return apply(GRU_SEQUENCE, x, w, u, b,
+                 mask=np.asarray(mask, dtype=bool), reverse=reverse)

@@ -12,45 +12,61 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, _unbroadcast
+from ..ops import _unbroadcast, defop, numel
+from ..tensor import Tensor, apply
 
 __all__ = ["fused_layer_norm"]
 
 
-def fused_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-                     eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the final axis as one autograd node."""
-    dim = x.shape[-1]
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
+def _layer_norm_forward(x, gamma, beta, eps):
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
     # Divide (not multiply-by-reciprocal) so the forward stays bitwise
     # identical to the composed reference.
     normed = centered / std
-    out = normed * gamma.data
-    out += beta.data
-    gamma_data = gamma.data
+    out = normed * gamma
+    out += beta
+    return out, (normed, centered, std)
 
-    def backward(g):
-        # The leading-axes reductions _unbroadcast performs for the
-        # (dim,)-shaped gamma/beta parents of the composed graph.
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * normed).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        # Replay of the composed chain in the engine's dispatch
-        # order: scale -> divide -> sqrt -> +eps -> mean -> square
-        # (two identical contributions) -> center -> mean.
-        gnd = g * gamma_data
-        gce = gnd / std
-        gst = _unbroadcast(-gnd * centered / (std ** 2), std.shape)
-        gv = gst / (2.0 * std)
-        gsq = np.broadcast_to(gv / dim, centered.shape)
-        tmp = gsq * centered
-        gce = gce + tmp
-        gce = gce + tmp
-        gm = _unbroadcast(-gce, mean.shape)
-        gx = gce + np.broadcast_to(gm / dim, gce.shape)
-        return (gx, dgamma, dbeta)
 
-    return x._make_child(out, (x, gamma, beta), backward)
+def _layer_norm_vjp(g, out, saved, x, gamma, beta, eps):
+    normed, centered, std = saved
+    dim = x.shape[-1]
+    # The leading-axes reductions _unbroadcast performs for the
+    # (dim,)-shaped gamma/beta parents of the composed graph.
+    lead = tuple(range(g.ndim - 1))
+    dgamma = (g * normed).sum(axis=lead)
+    dbeta = g.sum(axis=lead)
+    # Replay of the composed chain in the engine's dispatch order:
+    # scale -> divide -> sqrt -> +eps -> mean -> square (two identical
+    # contributions) -> center -> mean.  ``std`` is shaped like the mean.
+    gnd = g * gamma
+    gce = gnd / std
+    gst = _unbroadcast(-gnd * centered / (std ** 2), std.shape)
+    gv = gst / (2.0 * std)
+    gsq = np.broadcast_to(gv / dim, centered.shape)
+    tmp = gsq * centered
+    gce = gce + tmp
+    gce = gce + tmp
+    gm = _unbroadcast(-gce, std.shape)
+    gx = gce + np.broadcast_to(gm / dim, gce.shape)
+    return (gx, dgamma, dbeta)
+
+
+def _layer_norm_shape(ctx, x, gamma, beta, *, eps):
+    return ctx.broadcast(x.shape, gamma.shape, beta.shape), \
+        np.result_type(x.dtype, gamma.dtype, beta.dtype)
+
+
+# mean, center, square-mean, sqrt, divide, scale, shift: ~8 per element.
+LAYER_NORM = defop("fused_layer_norm", _layer_norm_forward, _layer_norm_vjp,
+                   lambda operands, out: 8 * numel(out), _layer_norm_shape,
+                   saves=True)
+
+
+def fused_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+                     eps: float = 1e-5) -> Tensor:
+    """Layer normalisation over the final axis as one autograd node."""
+    return apply(LAYER_NORM, x, gamma, beta, eps=eps)

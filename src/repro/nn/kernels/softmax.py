@@ -21,58 +21,124 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, _unbroadcast
+from ..ops import _unbroadcast, defop, in_elems, numel, same_shape
+from ..tensor import Tensor, apply
 
 __all__ = ["fused_softmax", "fused_log_softmax", "fused_cross_entropy"]
 
 
-def fused_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis`` as one autograd node."""
+def _softmax_forward(x, axis):
     # exp(x - max) computed in the single ``exp`` buffer; the reference
     # allocates shift and exp separately but in-place ufuncs produce the
     # same bits.
-    exp = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
+    exp = np.subtract(x, x.max(axis=axis, keepdims=True))
     np.exp(exp, out=exp)
     denom = exp.sum(axis=axis, keepdims=True)
     out = exp / denom  # keep ``exp`` intact for the backward
-
-    def backward(g):
-        # Composed dispatch order: div assigns e's grad (g / denom)
-        # and denom's grad (unbroadcast(-g * e / denom**2)), then the
-        # sum node broadcasts denom's grad back onto e, then exp
-        # multiplies by e; the detached-max sub passes through.
-        ge = g / denom
-        tmp = np.negative(g)
-        tmp *= exp
-        tmp /= denom ** 2
-        ge += _unbroadcast(tmp, denom.shape)
-        ge *= exp
-        return (ge,)
-
-    return x._make_child(out, (x,), backward)
+    return out, (exp, denom)
 
 
-def fused_log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable log-softmax along ``axis`` as one node."""
-    shifted = np.subtract(x.data, x.data.max(axis=axis, keepdims=True))
+def _softmax_vjp(g, out, saved, x, axis):
+    # Composed dispatch order: div assigns e's grad (g / denom) and
+    # denom's grad (unbroadcast(-g * e / denom**2)), then the sum node
+    # broadcasts denom's grad back onto e, then exp multiplies by e; the
+    # detached-max sub passes through.
+    exp, denom = saved
+    ge = g / denom
+    tmp = np.negative(g)
+    tmp *= exp
+    tmp /= denom ** 2
+    ge += _unbroadcast(tmp, denom.shape)
+    ge *= exp
+    return (ge,)
+
+
+def _log_softmax_forward(x, axis):
+    shifted = np.subtract(x, x.max(axis=axis, keepdims=True))
     exp = np.exp(shifted)
     denom = exp.sum(axis=axis, keepdims=True)
     # Same reduction order as the reference: shifted - log(sum(exp)).
     out = shifted
     out -= np.log(denom)
+    return out, (exp, denom)
 
-    def backward(g):
-        # Composed order: the outer sub assigns g to ``shifted`` and
-        # -g (summed) to log(denom); the log/sum/exp chain then adds
-        # broadcast(g_denom / denom) * exp onto ``shifted``'s grad.
-        tmp = np.negative(g)
-        gdenom = _unbroadcast(tmp, denom.shape)
-        gdenom /= denom
-        np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
-        tmp += g
-        return (tmp,)
 
-    return x._make_child(out, (x,), backward)
+def _log_softmax_vjp(g, out, saved, x, axis):
+    # Composed order: the outer sub assigns g to ``shifted`` and -g
+    # (summed) to log(denom); the log/sum/exp chain then adds
+    # broadcast(g_denom / denom) * exp onto ``shifted``'s grad.
+    exp, denom = saved
+    tmp = np.negative(g)
+    gdenom = _unbroadcast(tmp, denom.shape)
+    gdenom /= denom
+    np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
+    tmp += g
+    return (tmp,)
+
+
+def _cross_entropy_forward(logits, targets, ignore_index):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=-1, keepdims=True)
+    log_probs = shifted
+    log_probs -= np.log(denom)
+    if ignore_index is not None:
+        rows = np.nonzero(targets != ignore_index)[0]
+        picked_targets = targets[rows]
+    else:
+        rows = np.arange(logits.shape[0])
+        picked_targets = targets
+    picked = log_probs[rows, picked_targets]
+    out = np.asarray(-picked.sum() / float(len(rows)))
+    return out, (exp, denom, rows, picked_targets)
+
+
+def _cross_entropy_vjp(g, out, saved, logits, targets, ignore_index):
+    # Composed chain: div -> neg -> sum -> getitem scatter, then the
+    # log-softmax backward with the scattered grad.
+    exp, denom, rows, picked_targets = saved
+    gpick = np.broadcast_to(-(g / float(len(rows))), (len(rows),))
+    full = np.zeros_like(logits)
+    np.add.at(full, (rows, picked_targets), gpick)
+    tmp = np.negative(full)
+    gdenom = _unbroadcast(tmp, denom.shape)
+    gdenom /= denom
+    np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
+    tmp += full
+    return (tmp,)
+
+
+def _cross_entropy_shape(ctx, logits, *, targets, ignore_index):
+    if len(logits.shape) != 2:
+        raise ctx.error(f"cross-entropy needs (N, C) logits, got "
+                        f"{ctx.fmt(logits.shape)}")
+    return (), logits.dtype
+
+
+# FLOPs mirror the composed decompositions the kernels replace: max,
+# subtract, exp, sum, divide (softmax, 5 per element); log-softmax adds
+# a log (6); cross-entropy is dominated by its logits' log-softmax.
+SOFTMAX = defop("fused_softmax", _softmax_forward, _softmax_vjp,
+                lambda operands, out: 5 * numel(out), same_shape, saves=True)
+
+LOG_SOFTMAX = defop("fused_log_softmax", _log_softmax_forward,
+                    _log_softmax_vjp, lambda operands, out: 6 * numel(out),
+                    same_shape, saves=True)
+
+CROSS_ENTROPY = defop("fused_cross_entropy", _cross_entropy_forward,
+                      _cross_entropy_vjp,
+                      lambda operands, out: 6 * in_elems(operands, out),
+                      _cross_entropy_shape, saves=True)
+
+
+def fused_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically-stable softmax along ``axis`` as one autograd node."""
+    return apply(SOFTMAX, x, axis=axis)
+
+
+def fused_log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically-stable log-softmax along ``axis`` as one node."""
+    return apply(LOG_SOFTMAX, x, axis=axis)
 
 
 def fused_cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -84,35 +150,7 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray,
     log-softmax → gather → mean pipeline collapses to a single node.
     """
     targets = np.asarray(targets)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=-1, keepdims=True)
-    log_probs = shifted
-    log_probs -= np.log(denom)
-    n = logits.shape[0]
-    if ignore_index is not None:
-        rows = np.nonzero(targets != ignore_index)[0]
-        if rows.size == 0:
-            return Tensor(0.0)  # reference returns a constant here too
-        picked_targets = targets[rows]
-    else:
-        rows = np.arange(n)
-        picked_targets = targets
-    picked = log_probs[rows, picked_targets]
-    count = float(len(rows))
-    out = np.asarray(-picked.sum() / count)
-
-    def backward(g):
-        # Composed chain: div -> neg -> sum -> getitem scatter, then
-        # the log-softmax backward with the scattered grad.
-        gpick = np.broadcast_to(-(g / count), (len(rows),))
-        full = np.zeros_like(logits.data)
-        np.add.at(full, (rows, picked_targets), gpick)
-        tmp = np.negative(full)
-        gdenom = _unbroadcast(tmp, denom.shape)
-        gdenom /= denom
-        np.multiply(np.broadcast_to(gdenom, exp.shape), exp, out=tmp)
-        tmp += full
-        return (tmp,)
-
-    return logits._make_child(out, (logits,), backward)
+    if ignore_index is not None and not np.any(targets != ignore_index):
+        return Tensor(0.0)  # reference returns a constant here too
+    return apply(CROSS_ENTROPY, logits, targets=targets,
+                 ignore_index=ignore_index)

@@ -1,0 +1,519 @@
+"""The engine's primitives, each stated once.
+
+Every differentiable operation of the autograd engine is one :class:`Op`
+record in :data:`OPS`, after HIPS autograd's ``primitive`` + ``defvjp``
+pattern.  A record holds
+
+* ``name`` — what the profiler, anomaly mode and ``repro ir`` print;
+* ``forward(*arrays, **attrs)`` — the numpy computation.  When
+  ``saves`` is set it returns ``(out, saved)``: forward buffers the VJP
+  reads (the fused kernels' intermediates, ``relu``'s mask);
+* ``vjp(g, out, saved, *arrays, **attrs)`` — one gradient (or ``None``)
+  per operand.  Every input arrives as an argument, so the engine, the
+  IR replay and the tests can all call it on whatever arrays they hold;
+* ``flops(operand_shapes, out_shape)`` — the analytic FLOP estimate;
+* ``shape(ctx, *operands, **attrs)`` — the symbolic shape/dtype rule the
+  shape checker runs (``ctx`` is its
+  :class:`~repro.analysis.shapes.abstract.RuleContext`; each operand has
+  ``shape``, ``dtype`` and ``probe``).  It returns ``(shape, dtype)``.
+
+Everything else is derived from the table: ``Tensor``'s op methods and
+``concatenate``/``stack``/``where`` apply records through one
+``Tensor._apply``, the abstract tensor overrides that one method, the
+profiler and the IR read ``name``/``flops``/attributes off the recorded
+call, and replay re-runs ``forward`` and ``vjp`` on snapshot arrays.
+The composed ops live here; the fused kernels register beside their
+math in :mod:`repro.nn.kernels`.
+
+FLOP conventions (``docs/observability.md``): elementwise arithmetic,
+simple transcendentals, ``relu``/``clip_min`` and ``where`` count one
+FLOP per output element, ``tanh``/``sigmoid`` four; ``matmul`` counts
+``2 * K * prod(out)``; reductions count one per input element (``mean``
+adds a divide per output element); data movement counts 0.  The
+profiler charges a backward node twice its forward estimate.
+
+Forward and VJP expressions are the engine's original arithmetic,
+operation for operation, so results are bitwise unchanged.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
+
+__all__ = ["DEFAULT_DTYPE", "Op", "OPS", "defop", "flops_for"]
+
+#: Canonical floating dtype of the engine.  Hot-path code must reference
+#: this constant instead of hard-coding ``np.float64`` (lint rule R005),
+#: so a future float32/mixed-precision backend is a one-line switch.
+DEFAULT_DTYPE = np.float64
+
+Shape = Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Op:
+    """One primitive: see the module docstring for each field's contract."""
+
+    name: str
+    forward: Optional[Callable]
+    vjp: Callable
+    flops: Callable[[Sequence[Shape], Shape], int]
+    shape: Optional[Callable]
+    saves: bool = False
+
+
+#: Every registered primitive, by name.
+OPS: Dict[str, Op] = {}
+
+
+def defop(name: str, forward: Callable, vjp: Callable, flops: Callable,
+          shape: Callable, saves: bool = False) -> Op:
+    """Register one primitive and return its record."""
+    if name in OPS:
+        raise ValueError(f"op {name!r} is already registered")
+    op = OPS[name] = Op(name, forward, vjp, flops, shape, saves)
+    return op
+
+
+def flops_for(name: str, operand_shapes: Sequence[Shape], out_shape: Shape) -> int:
+    """Forward FLOP estimate of the op called ``name`` (0 for an unknown op)."""
+    op = OPS.get(name)
+    return 0 if op is None else op.flops(operand_shapes, out_shape)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce ``grad`` so that it matches ``shape``.
+
+    Inverse of numpy broadcasting: axes that were added are summed away and
+    axes that were stretched from size 1 are summed back to size 1.
+    """
+    if grad.shape == shape:
+        return grad
+    # Sum away leading axes that broadcasting added.
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    # Sum over axes that were stretched from 1.
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+# ---------------------------------------------------------------------- #
+# FLOP formulas
+# ---------------------------------------------------------------------- #
+def numel(shape: Sequence[int]) -> int:
+    out = 1
+    for entry in shape:
+        out *= int(entry)
+    return out
+
+
+def _out_elems(operands: Sequence[Shape], out: Shape) -> int:
+    return numel(out)
+
+
+def _out_elems_x4(operands: Sequence[Shape], out: Shape) -> int:
+    return 4 * numel(out)
+
+
+def in_elems(operands: Sequence[Shape], out: Shape) -> int:
+    return numel(operands[0]) if operands else numel(out)
+
+
+def _mean_flops(operands: Sequence[Shape], out: Shape) -> int:
+    return in_elems(operands, out) + numel(out)
+
+
+def _matmul_flops(operands: Sequence[Shape], out: Shape) -> int:
+    # K is always the last axis of the first operand, for every numpy
+    # ``@`` arity (vec-vec, mat-vec, vec-mat, batched mat-mat): the
+    # output holds prod(out) dot products of length K, 2 FLOPs each.
+    if not operands or not operands[0]:
+        return 0
+    return 2 * int(operands[0][-1]) * numel(out)
+
+
+def _zero(operands: Sequence[Shape], out: Shape) -> int:
+    return 0
+
+
+# ---------------------------------------------------------------------- #
+# Shape rules (run by the shape checker over symbolic shapes)
+# ---------------------------------------------------------------------- #
+def _pointwise_shape(ctx, *operands, **attrs):
+    """Broadcast the operands; the dtype is the forward's on 0-d probes."""
+    return ctx.broadcast(*(o.shape for o in operands)), \
+        ctx.dtype(operands, attrs)
+
+
+def _where_shape(ctx, a, b, *, condition):
+    shape = ctx.broadcast(ctx.resym(np.shape(condition)), a.shape, b.shape)
+    return shape, np.result_type(a.dtype, b.dtype)
+
+
+def _matmul_shape(ctx, a, b):
+    x, y = list(a.shape), list(b.shape)
+    if not x or not y:
+        raise ctx.error(f"matmul requires at least 1-d operands: "
+                        f"{ctx.fmt(a.shape)} @ {ctx.fmt(b.shape)}")
+    x_vec, y_vec = len(x) == 1, len(y) == 1
+    if x_vec:
+        x = [1] + x
+    if y_vec:
+        y = y + [1]
+    if int(x[-1]) != int(y[-2]):
+        raise ctx.error(
+            f"matmul inner dimensions differ: {x[-1]!r} (= {int(x[-1])}) "
+            f"vs {y[-2]!r} (= {int(y[-2])}) in "
+            f"{ctx.fmt(a.shape)} @ {ctx.fmt(b.shape)}")
+    shape = list(ctx.broadcast(tuple(x[:-2]), tuple(y[:-2]))) + [x[-2], y[-1]]
+    if y_vec:
+        shape = shape[:-1]
+    if x_vec:
+        shape = shape[:-2] + shape[-1:] if not y_vec else shape[:-1]
+    return tuple(shape), np.result_type(a.dtype, b.dtype)
+
+
+def _transpose_shape(ctx, a, *, axes):
+    return tuple(a.shape[i] for i in axes), a.dtype
+
+
+def _swapaxes_shape(ctx, a, *, axis1, axis2):
+    shape = list(a.shape)
+    shape[axis1], shape[axis2] = shape[axis2], shape[axis1]
+    return tuple(shape), a.dtype
+
+
+def _reshape_shape(ctx, a, *, shape):
+    total = numel(a.shape)
+    entries = list(shape)
+    hole, known = None, 1
+    for i, entry in enumerate(entries):
+        if int(entry) == -1:
+            if hole is not None:
+                raise ctx.error("reshape: more than one -1")
+            hole = i
+        else:
+            known *= int(entry)
+    if hole is not None:
+        if known == 0 or total % known != 0:
+            raise ctx.error(f"cannot reshape {ctx.fmt(a.shape)} (size {total}) "
+                            f"into {ctx.fmt(tuple(entries))}")
+        entries[hole] = total // known
+        known *= entries[hole]
+    if known != total:
+        raise ctx.error(f"cannot reshape {ctx.fmt(a.shape)} (size {total}) into "
+                        f"{ctx.fmt(tuple(entries))} (size {known})")
+    return tuple(entries), a.dtype
+
+
+def _reduce_shape(ctx, a, *, axis, keepdims):
+    nd = len(a.shape)
+    if axis is None:
+        axes = set(range(nd))
+    else:
+        axes = {ax % nd for ax in ((axis,) if isinstance(axis, int) else axis)}
+    shape = tuple(1 if i in axes else entry
+                  for i, entry in enumerate(a.shape)
+                  if i not in axes or keepdims)
+    probe = ctx.op.forward(np.ones((1,), a.dtype), axis=None, keepdims=False)
+    return shape, np.asarray(probe).dtype
+
+
+def _getitem_shape(ctx, a, *, index):
+    # numpy validates the index on the zero-stride witness.
+    witness = np.broadcast_to(np.zeros((), a.dtype),
+                              tuple(int(e) for e in a.shape))
+    out = witness[index]
+    items = list(index) if isinstance(index, tuple) else [index]
+    if not all(isinstance(e, (int, np.integer, slice)) or e is Ellipsis
+               for e in items):
+        # Advanced indexing: resymbolize the witness result.
+        return ctx.resym(out.shape), a.dtype
+    if Ellipsis in items:
+        pos = items.index(Ellipsis)
+        fill = len(a.shape) - (len(items) - 1)
+        items = items[:pos] + [slice(None)] * fill + items[pos + 1:]
+    shape = []
+    for axis, item in enumerate(items):
+        entry = a.shape[axis]
+        if isinstance(item, slice):
+            if item == slice(None):
+                shape.append(entry)
+            else:
+                shape.append(len(range(*item.indices(int(entry)))))
+        # an integer index drops the axis
+    shape.extend(a.shape[len(items):])
+    return tuple(shape), a.dtype
+
+
+def _take_shape(ctx, a, *, indices, axis):
+    axis = axis % len(a.shape)
+    return (a.shape[:axis] + ctx.resym(np.shape(indices))
+            + a.shape[axis + 1:]), a.dtype
+
+
+def _concatenate_shape(ctx, *parts, axis):
+    shapes = [p.shape for p in parts]
+    nd = len(shapes[0])
+    if any(len(s) != nd for s in shapes):
+        raise ctx.error("concatenate: operands have different ranks: "
+                        + ", ".join(ctx.fmt(s) for s in shapes))
+    axis = axis % nd
+    shape = []
+    for i in range(nd):
+        entries = [s[i] for s in shapes]
+        if i == axis:
+            shape.append(ctx.total(entries))
+        elif len({int(e) for e in entries}) != 1:
+            raise ctx.error(f"concatenate: non-axis dimension {i} differs: "
+                            + ", ".join(ctx.fmt(s) for s in shapes))
+        else:
+            shape.append(ctx.pick(entries))
+    return tuple(shape), np.result_type(*(p.dtype for p in parts))
+
+
+def _stack_shape(ctx, *parts, axis):
+    shapes = [p.shape for p in parts]
+    if len({tuple(int(e) for e in s) for s in shapes}) != 1:
+        raise ctx.error("stack: operands have different shapes: "
+                        + ", ".join(ctx.fmt(s) for s in shapes))
+    shape = [ctx.pick([s[i] for s in shapes]) for i in range(len(shapes[0]))]
+    shape.insert(axis % (len(shape) + 1), ctx.resym((len(parts),))[0])
+    return tuple(shape), np.result_type(*(p.dtype for p in parts))
+
+
+def same_shape(ctx, x, **attrs):
+    """Rule of an op whose output is shaped and typed like its operand."""
+    return x.shape, x.dtype
+
+
+# ---------------------------------------------------------------------- #
+# Elementwise arithmetic
+# ---------------------------------------------------------------------- #
+ADD = defop(
+    "add", operator.add,
+    lambda g, out, saved, a, b: (_unbroadcast(g, a.shape),
+                                 _unbroadcast(g, b.shape)),
+    _out_elems, _pointwise_shape)
+
+SUB = defop(
+    "sub", operator.sub,
+    lambda g, out, saved, a, b: (_unbroadcast(g, a.shape),
+                                 _unbroadcast(-g, b.shape)),
+    _out_elems, _pointwise_shape)
+
+MUL = defop(
+    "mul", operator.mul,
+    lambda g, out, saved, a, b: (_unbroadcast(g * b, a.shape),
+                                 _unbroadcast(g * a, b.shape)),
+    _out_elems, _pointwise_shape)
+
+DIV = defop(
+    "div", operator.truediv,
+    lambda g, out, saved, a, b: (_unbroadcast(g / b, a.shape),
+                                 _unbroadcast(-g * a / (b**2), b.shape)),
+    _out_elems, _pointwise_shape)
+
+NEG = defop("neg", operator.neg, lambda g, out, saved, a: (-g,),
+            _out_elems, _pointwise_shape)
+
+POW = defop(
+    "pow", lambda a, exponent: a**exponent,
+    lambda g, out, saved, a, exponent: (g * exponent * a ** (exponent - 1),),
+    _out_elems, _pointwise_shape)
+
+
+# ---------------------------------------------------------------------- #
+# Matrix and shape operations
+# ---------------------------------------------------------------------- #
+def _matmul_vjp(g, out, saved, a, b):
+    if a.ndim == 1 and b.ndim == 1:
+        return (g * b, g * a)
+    if b.ndim == 1:
+        ga = np.expand_dims(g, -1) * b
+        gb = np.tensordot(g, a, axes=(tuple(range(g.ndim)),
+                                      tuple(range(g.ndim))))
+        return (_unbroadcast(ga, a.shape), gb)
+    if a.ndim == 1:
+        ga = (g[..., None, :] @ np.swapaxes(b, -1, -2)).reshape(
+            g.shape[:-1] + (a.shape[0],)
+        )
+        ga = _unbroadcast(ga, a.shape)
+        gb = a[:, None] * g[..., None, :]
+        return (ga, _unbroadcast(gb, b.shape))
+    ga = g @ np.swapaxes(b, -1, -2)
+    gb = np.swapaxes(a, -1, -2) @ g
+    return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+
+
+MATMUL = defop("matmul", operator.matmul, _matmul_vjp, _matmul_flops,
+               _matmul_shape)
+
+TRANSPOSE = defop(
+    "transpose", lambda a, axes: np.transpose(a, axes),
+    lambda g, out, saved, a, axes: (np.transpose(g, np.argsort(axes)),),
+    _zero, _transpose_shape)
+
+SWAPAXES = defop(
+    "swapaxes", lambda a, axis1, axis2: np.swapaxes(a, axis1, axis2),
+    lambda g, out, saved, a, axis1, axis2: (np.swapaxes(g, axis1, axis2),),
+    _zero, _swapaxes_shape)
+
+RESHAPE = defop(
+    "reshape", lambda a, shape: a.reshape(shape),
+    lambda g, out, saved, a, shape: (g.reshape(a.shape),),
+    _zero, _reshape_shape)
+
+
+# ---------------------------------------------------------------------- #
+# Reductions
+# ---------------------------------------------------------------------- #
+def _sum_vjp(g, out, saved, a, axis, keepdims):
+    if axis is None:
+        return (np.broadcast_to(g, a.shape).copy(),)
+    g_expanded = g if keepdims else np.expand_dims(g, axis)
+    return (np.broadcast_to(g_expanded, a.shape).copy(),)
+
+
+def _mean_vjp(g, out, saved, a, axis, keepdims):
+    if axis is None:
+        count = a.size
+        return (np.broadcast_to(g / count, a.shape).copy(),)
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    count = int(np.prod([a.shape[ax] for ax in axes]))
+    g_expanded = g if keepdims else np.expand_dims(g, axis)
+    return (np.broadcast_to(g_expanded / count, a.shape).copy(),)
+
+
+def _max_vjp(g, out, saved, a, axis, keepdims):
+    # Gradient flows to (all) argmax positions.
+    if axis is None:
+        mask = (a == out).astype(DEFAULT_DTYPE)
+        return (mask * g / mask.sum(),)
+    out_e = out if keepdims else np.expand_dims(out, axis)
+    g_e = g if keepdims else np.expand_dims(g, axis)
+    mask = (a == out_e).astype(DEFAULT_DTYPE)
+    mask /= mask.sum(axis=axis, keepdims=True)
+    return (mask * g_e,)
+
+
+SUM = defop("sum", lambda a, axis, keepdims: a.sum(axis=axis, keepdims=keepdims),
+            _sum_vjp, in_elems, _reduce_shape)
+
+MEAN = defop("mean",
+             lambda a, axis, keepdims: a.mean(axis=axis, keepdims=keepdims),
+             _mean_vjp, _mean_flops, _reduce_shape)
+
+MAX = defop("max", lambda a, axis, keepdims: a.max(axis=axis, keepdims=keepdims),
+            _max_vjp, in_elems, _reduce_shape)
+
+
+# ---------------------------------------------------------------------- #
+# Elementwise nonlinearities
+# ---------------------------------------------------------------------- #
+def _sigmoid(a):
+    # Numerically stable: exp only ever sees non-positive arguments.
+    positive = a >= 0
+    exp_neg = np.exp(-np.abs(a))
+    return np.where(positive, 1.0 / (1.0 + exp_neg),
+                    exp_neg / (1.0 + exp_neg))
+
+
+def _relu(a):
+    mask = a > 0
+    return a * mask, mask
+
+
+EXP = defop("exp", np.exp, lambda g, out, saved, a: (g * out,),
+            _out_elems, _pointwise_shape)
+
+LOG = defop("log", np.log, lambda g, out, saved, a: (g / a,),
+            _out_elems, _pointwise_shape)
+
+SQRT = defop("sqrt", np.sqrt, lambda g, out, saved, a: (g / (2.0 * out),),
+             _out_elems, _pointwise_shape)
+
+TANH = defop("tanh", np.tanh, lambda g, out, saved, a: (g * (1.0 - out**2),),
+             _out_elems_x4, _pointwise_shape)
+
+SIGMOID = defop("sigmoid", _sigmoid,
+                lambda g, out, saved, a: (g * out * (1.0 - out),),
+                _out_elems_x4, _pointwise_shape)
+
+RELU = defop("relu", _relu, lambda g, out, mask, a: (g * mask,),
+             _out_elems, _pointwise_shape, saves=True)
+
+ABS = defop("abs", np.abs, lambda g, out, saved, a: (g * np.sign(a),),
+            _out_elems, _pointwise_shape)
+
+# Elementwise ``max(x, minimum)``; used for hinge losses.
+CLIP_MIN = defop(
+    "clip_min", lambda a, minimum: np.maximum(a, minimum),
+    lambda g, out, saved, a, minimum: (g * (a > minimum),),
+    _out_elems, _pointwise_shape)
+
+
+# ---------------------------------------------------------------------- #
+# Indexing, gathering, joining
+# ---------------------------------------------------------------------- #
+def _getitem_vjp(g, out, saved, a, index):
+    full = np.zeros_like(a)
+    np.add.at(full, index, g)
+    return (full,)
+
+
+def _take_vjp(g, out, saved, a, indices, axis):
+    # The gradient scatters with accumulation.
+    full = np.zeros_like(a)
+    if axis == 0:
+        np.add.at(full, indices, g)
+    else:
+        moved_full = np.moveaxis(full, axis, 0)
+        moved_g = np.moveaxis(g, axis, 0)
+        np.add.at(moved_full, indices, moved_g)
+    return (full,)
+
+
+def _concatenate_vjp(g, out, saved, *parts, axis):
+    offsets = np.cumsum([0] + [part.shape[axis] for part in parts])
+    grads = []
+    for i in range(len(parts)):
+        sl = [slice(None)] * g.ndim
+        sl[axis] = slice(offsets[i], offsets[i + 1])
+        grads.append(g[tuple(sl)])
+    return tuple(grads)
+
+
+def _where_vjp(g, out, saved, a, b, condition):
+    return (
+        _unbroadcast(np.where(condition, g, 0.0), a.shape),
+        _unbroadcast(np.where(condition, 0.0, g), b.shape),
+    )
+
+
+GETITEM = defop("getitem", lambda a, index: a[index], _getitem_vjp,
+                _zero, _getitem_shape)
+
+TAKE = defop("take", lambda a, indices, axis: np.take(a, indices, axis=axis),
+             _take_vjp, _zero, _take_shape)
+
+CONCATENATE = defop(
+    "concatenate", lambda *parts, axis: np.concatenate(parts, axis=axis),
+    _concatenate_vjp, _zero, _concatenate_shape)
+
+STACK = defop(
+    "stack", lambda *parts, axis: np.stack(parts, axis=axis),
+    lambda g, out, saved, *parts, axis: tuple(
+        np.take(g, i, axis=axis) for i in range(len(parts))),
+    _zero, _stack_shape)
+
+WHERE = defop(
+    "where", lambda a, b, condition: np.where(condition, a, b), _where_vjp,
+    _out_elems, _where_shape)

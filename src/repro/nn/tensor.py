@@ -10,23 +10,25 @@ The design mirrors the familiar PyTorch surface (``requires_grad``,
 needed by the models in this repository are implemented.  Every operation
 supports full numpy broadcasting; gradients of broadcast operands are
 reduced back to the operand's original shape.
+
+The operations themselves are records in :mod:`repro.nn.ops`; the op
+methods here only normalise arguments and hand the record to
+:func:`apply`, which runs its forward and, while gradients flow, stores
+an :class:`OpCall` as the output's backward node.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import hooks as _hooks
+from . import ops as _ops
+from .ops import DEFAULT_DTYPE, Op, _unbroadcast  # noqa: F401 (re-export)
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
-
-#: Canonical floating dtype of the engine.  Hot-path code must reference
-#: this constant instead of hard-coding ``np.float64`` (lint rule R005),
-#: so a future float32/mixed-precision backend is a one-line switch.
-DEFAULT_DTYPE = np.float64
 
 # Gradient recording is per-thread, so a no_grad() window on one thread
 # cannot disable autograd for a training step running on another.
@@ -59,25 +61,6 @@ def is_grad_enabled() -> bool:
     return getattr(_grad_state, "enabled", True)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce ``grad`` so that it matches ``shape``.
-
-    Inverse of numpy broadcasting: axes that were added are summed away and
-    axes that were stretched from size 1 are summed back to size 1.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum away leading axes that broadcasting added.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were stretched from 1.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Tensor:
     """A numpy-backed tensor with reverse-mode autograd.
 
@@ -108,7 +91,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional["OpCall"] = None
         self._parents: tuple = ()
         self._ctx = None
 
@@ -157,24 +140,30 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Autograd machinery
     # ------------------------------------------------------------------ #
-    def _make_child(
-        self,
-        data: np.ndarray,
-        parents: Iterable["Tensor"],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        parents = tuple(parents)
-        out = Tensor(data)
-        if getattr(_grad_state, "enabled", True) \
-                and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-        observers = _hooks.observers
-        if observers:
-            for observer in observers:
-                observer.op_created(out, data, parents, backward)
-        return out
+    @staticmethod
+    def _apply(op: Op, operands: tuple, attrs: dict) -> "Tensor":
+        """Run the registered ``op`` eagerly and record it in the graph.
+
+        Reached through :func:`apply`; a subclass that overrides this
+        one method (the shape checker's abstract tensor) takes over
+        every op.
+        """
+        inputs = tuple([value if isinstance(value, Tensor) else Tensor(value)
+                        for value in operands])
+        result = op.forward(*[t.data for t in inputs], **attrs)
+        data, saved = result if op.saves else (result, None)
+        return _record(op, attrs, saved, data, inputs)
+
+    def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
+                    backward: Callable[[np.ndarray], tuple]) -> "Tensor":
+        """Record an op outside the registry.
+
+        ``backward`` maps the output's gradient to one contribution per
+        parent.  Such a node has no forward to re-run, so the IR replay
+        treats it as opaque; tests build faulty "kernels" this way.
+        """
+        return _record(OPAQUE, {"backward": backward}, None, data,
+                       tuple(parents))
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -198,7 +187,7 @@ class Tensor:
                     f"scalar tensor, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
         observers = _hooks.observers
         for observer in observers:
             observer.backward_started(self, grad)
@@ -256,77 +245,37 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------ #
-    # Elementwise arithmetic
+    # Elementwise arithmetic (the ops themselves live in repro.nn.ops)
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-
-        return self._make_child(a.data + b.data, (a, b), backward)
+        return apply(_ops.ADD, self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-
-        return self._make_child(a.data - b.data, (a, b), backward)
+        return apply(_ops.SUB, self, other)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return _as_tensor(other).__sub__(self)
+        return apply(_ops.SUB, other, self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
-            )
-
-        return self._make_child(a.data * b.data, (a, b), backward)
+        return apply(_ops.MUL, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data**2), b.shape),
-            )
-
-        return self._make_child(a.data / b.data, (a, b), backward)
+        return apply(_ops.DIV, self, other)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return _as_tensor(other).__truediv__(self)
+        return apply(_ops.DIV, other, self)
 
     def __neg__(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return (-g,)
-
-        return self._make_child(-a.data, (a,), backward)
+        return apply(_ops.NEG, self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        a = self
-
-        def backward(g):
-            return (g * exponent * a.data ** (exponent - 1),)
-
-        return self._make_child(a.data**exponent, (a,), backward)
+        return apply(_ops.POW, self, exponent=exponent)
 
     # ------------------------------------------------------------------ #
     # Comparisons (no grad; return numpy bool arrays)
@@ -348,232 +297,147 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product supporting batched operands (numpy @ semantics)."""
-        other = _as_tensor(other)
-        a, b = self, other
-        out = a.data @ b.data
+        return apply(_ops.MATMUL, self, other)
 
-        def backward(g):
-            if a.ndim == 1 and b.ndim == 1:
-                return (g * b.data, g * a.data)
-            if b.ndim == 1:
-                ga = np.expand_dims(g, -1) * b.data
-                gb = np.tensordot(g, a.data, axes=(tuple(range(g.ndim)),
-                                                   tuple(range(g.ndim))))
-                return (_unbroadcast(ga, a.shape), gb)
-            if a.ndim == 1:
-                ga = (g[..., None, :] @ np.swapaxes(b.data, -1, -2)).reshape(
-                    g.shape[:-1] + (a.shape[0],)
-                )
-                ga = _unbroadcast(ga, a.shape)
-                gb = a.data[:, None] * g[..., None, :]
-                return (ga, _unbroadcast(gb, b.shape))
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-        return self._make_child(out, (a, b), backward)
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        return self.matmul(other)
+    __matmul__ = matmul
 
     def transpose(self, *axes: int) -> "Tensor":
         """Permute axes (full reversal when no axes are given)."""
-        a = self
-        axes_t = tuple(axes) if axes else tuple(reversed(range(a.ndim)))
-        inverse = np.argsort(axes_t)
-
-        def backward(g):
-            return (np.transpose(g, inverse),)
-
-        return self._make_child(np.transpose(a.data, axes_t), (a,), backward)
+        axes = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
+        return apply(_ops.TRANSPOSE, self, axes=axes)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         """Interchange two axes."""
-        a = self
-
-        def backward(g):
-            return (np.swapaxes(g, axis1, axis2),)
-
-        return self._make_child(np.swapaxes(a.data, axis1, axis2), (a,), backward)
+        return apply(_ops.SWAPAXES, self, axis1=axis1, axis2=axis2)
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        original = a.shape
-
-        def backward(g):
-            return (g.reshape(original),)
-
-        return self._make_child(a.data.reshape(shape), (a,), backward)
+        return apply(_ops.RESHAPE, self, shape=shape)
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_expanded, a.shape).copy(),)
-
-        return self._make_child(
-            a.data.sum(axis=axis, keepdims=keepdims), (a,), backward
-        )
+        return apply(_ops.SUM, self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        if axis is None:
-            count = a.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([a.shape[ax] for ax in axes]))
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g / count, a.shape).copy(),)
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_expanded / count, a.shape).copy(),)
-
-        return self._make_child(
-            a.data.mean(axis=axis, keepdims=keepdims), (a,), backward
-        )
+        return apply(_ops.MEAN, self, axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum reduction; gradient flows to (all) argmax positions."""
-        a = self
-        out = a.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is None:
-                mask = (a.data == out).astype(np.float64)
-                return (mask * g / mask.sum(),)
-            out_e = out if keepdims else np.expand_dims(out, axis)
-            g_e = g if keepdims else np.expand_dims(g, axis)
-            mask = (a.data == out_e).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            return (mask * g_e,)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.MAX, self, axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        a = self
-        out = np.exp(a.data)
-
-        def backward(g):
-            return (g * out,)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.EXP, self)
 
     def log(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return (g / a.data,)
-
-        return self._make_child(np.log(a.data), (a,), backward)
+        return apply(_ops.LOG, self)
 
     def sqrt(self) -> "Tensor":
-        a = self
-        out = np.sqrt(a.data)
-
-        def backward(g):
-            return (g / (2.0 * out),)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.SQRT, self)
 
     def tanh(self) -> "Tensor":
-        a = self
-        out = np.tanh(a.data)
-
-        def backward(g):
-            return (g * (1.0 - out**2),)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.TANH, self)
 
     def sigmoid(self) -> "Tensor":
-        a = self
-        # Numerically stable: exp only ever sees non-positive arguments.
-        positive = a.data >= 0
-        exp_neg = np.exp(-np.abs(a.data))
-        out = np.where(positive, 1.0 / (1.0 + exp_neg),
-                       exp_neg / (1.0 + exp_neg))
-
-        def backward(g):
-            return (g * out * (1.0 - out),)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.SIGMOID, self)
 
     def relu(self) -> "Tensor":
-        a = self
-        mask = a.data > 0
-
-        def backward(g):
-            return (g * mask,)
-
-        return self._make_child(a.data * mask, (a,), backward)
+        return apply(_ops.RELU, self)
 
     def abs(self) -> "Tensor":
-        a = self
-        sign = np.sign(a.data)
-
-        def backward(g):
-            return (g * sign,)
-
-        return self._make_child(np.abs(a.data), (a,), backward)
+        return apply(_ops.ABS, self)
 
     def clip_min(self, minimum: float) -> "Tensor":
         """Elementwise ``max(x, minimum)``; used for hinge losses."""
-        a = self
-        mask = a.data > minimum
-
-        def backward(g):
-            return (g * mask,)
-
-        return self._make_child(np.maximum(a.data, minimum), (a,), backward)
+        return apply(_ops.CLIP_MIN, self, minimum=minimum)
 
     # ------------------------------------------------------------------ #
     # Indexing / gathering
     # ------------------------------------------------------------------ #
     def __getitem__(self, index) -> "Tensor":
-        a = self
         if isinstance(index, Tensor):
             index = index.data
-        out = a.data[index]
-
-        def backward(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
-            return (full,)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.GETITEM, self, index=index)
 
     def take(self, indices: np.ndarray, axis: int = 0) -> "Tensor":
         """Gather rows along ``axis`` (gradient scatters with accumulation)."""
-        a = self
-        indices = np.asarray(_raw(indices))
-        out = np.take(a.data, indices, axis=axis)
-
-        def backward(g):
-            full = np.zeros_like(a.data)
-            if axis == 0:
-                np.add.at(full, indices, g)
-            else:
-                moved_full = np.moveaxis(full, axis, 0)
-                moved_g = np.moveaxis(g, axis, 0)
-                np.add.at(moved_full, indices, moved_g)
-            return (full,)
-
-        return self._make_child(out, (a,), backward)
+        return apply(_ops.TAKE, self, indices=np.asarray(_raw(indices)),
+                     axis=axis)
 
 
-def _as_tensor(value: ArrayLike) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+class OpCall:
+    """One application of an op: the backward node of its output.
+
+    Holds what the op's VJP needs besides the incoming gradient — the
+    op's attributes, the forward buffers it saved, its raw output and
+    its input tensors, whose ``.data`` is read when the node runs.
+    Observers (:mod:`repro.nn.hooks`) read ``op.name``, ``op.flops``
+    and ``attrs`` off it.
+    """
+
+    __slots__ = ("op", "attrs", "saved", "out", "inputs")
+
+    def __init__(self, op: Op, attrs: dict, saved, out: np.ndarray,
+                 inputs: tuple):
+        self.op = op
+        self.attrs = attrs
+        self.saved = saved
+        self.out = out
+        self.inputs = inputs
+
+    def __call__(self, grad: np.ndarray) -> tuple:
+        return self.op.vjp(grad, self.out, self.saved,
+                           *[t.data for t in self.inputs], **self.attrs)
+
+
+#: The op of a ``Tensor._make_child`` node: its one attribute is the
+#: hand-written backward, and it has no forward, FLOP or shape rule.
+OPAQUE = Op("opaque", forward=None,
+            vjp=lambda g, out, saved, *inputs, backward: backward(g),
+            flops=lambda operands, out: 0, shape=None)
+
+
+def _record(op: Op, attrs: dict, saved, data, inputs: tuple) -> Tensor:
+    """Wrap an op's output and, when gradients flow, attach its node."""
+    out = Tensor(data)
+    track = False
+    if getattr(_grad_state, "enabled", True):
+        for t in inputs:
+            if t.requires_grad:
+                track = True
+                break
+    observers = _hooks.observers
+    if track or observers:
+        call = OpCall(op, attrs, saved, data, inputs)
+        if track:
+            out.requires_grad = True
+            out._parents = inputs
+            out._backward = call
+        for observer in observers:
+            observer.op_created(out, call)
+    return out
+
+
+def apply(op: Op, *operands, **attrs) -> Tensor:
+    """Apply the registered ``op`` to ``operands`` with ``attrs``.
+
+    The first operand whose class overrides ``Tensor._apply`` (the shape
+    checker's abstract tensor) runs it, so an expression mixing real and
+    abstract operands stays abstract; otherwise the eager engine does.
+    """
+    for value in operands:
+        impl = getattr(type(value), "_apply", _eager_apply)
+        if impl is not _eager_apply:
+            return impl(op, operands, attrs)
+    return _eager_apply(op, operands, attrs)
+
+
+_eager_apply = Tensor._apply
 
 
 def _raw(value) -> np.ndarray:
@@ -585,61 +449,18 @@ def _raw(value) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an axis, with gradient splitting."""
-    tensors = [_as_tensor(t) for t in tensors]
-    for t in tensors:
-        # Abstract tensors (repro.analysis.shapes) propagate symbolically.
-        override = getattr(t, "_concat_override", None)
-        if override is not None:
-            return override(tensors, axis)
-    sizes = [t.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        grads = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
-
-    anchor = tensors[0]
-    return anchor._make_child(out, tensors, backward)
+    return apply(_ops.CONCATENATE, *tensors, axis=axis)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    for t in tensors:
-        override = getattr(t, "_stack_override", None)
-        if override is not None:
-            return override(tensors, axis)
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    anchor = tensors[0]
-    return anchor._make_child(out, tensors, backward)
+    return apply(_ops.STACK, *tensors, axis=axis)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select; ``condition`` is a plain boolean array."""
-    for operand in (a, b):
-        override = getattr(operand, "_where_override", None)
-        if override is not None:
-            return override(condition, a, b)
-    condition = np.asarray(_raw(condition), dtype=bool)
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = np.where(condition, a.data, b.data)
-
-    def backward(g):
-        return (
-            _unbroadcast(np.where(condition, g, 0.0), a.shape),
-            _unbroadcast(np.where(condition, 0.0, g), b.shape),
-        )
-
-    return a._make_child(out, (a, b), backward)
+    return apply(_ops.WHERE, a, b,
+                 condition=np.asarray(_raw(condition), dtype=bool))
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -12,47 +12,21 @@ same two primitives:
 * :class:`ModulePathTracker` — the module-call stack joined with
   :data:`PATH_SEPARATOR` (``SDEAModel/TransformerEncoder/...``).
 
-The op-name derivation from a backward closure (``__qualname__`` of the
-op's nested ``backward`` function, mapped through the dunder table) is
-shared here too, so every consumer agrees with the FLOP model's op
-vocabulary (:mod:`repro.analysis.shapes.flops`).
+Op names need no derivation: every recorded op carries its registry
+record (:mod:`repro.nn.ops`), whose ``name`` all tools print.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List
+from typing import List
 
 __all__ = [
     "PATH_SEPARATOR", "module_label", "join_module_path",
-    "ModulePathTracker", "op_name_from_backward", "FRIENDLY_OP_NAMES",
-    "NAME_CACHE_MAX", "clear_name_cache",
+    "ModulePathTracker",
 ]
 
 #: Separator between module levels in an attribution path.
 PATH_SEPARATOR = "/"
-
-#: Friendly names for dunder-implemented ops, matching the FLOP model.
-FRIENDLY_OP_NAMES = {
-    "__add__": "add", "__radd__": "add",
-    "__sub__": "sub", "__rsub__": "sub",
-    "__mul__": "mul", "__rmul__": "mul",
-    "__truediv__": "div", "__rtruediv__": "div",
-    "__neg__": "neg", "__pow__": "pow",
-    "__getitem__": "getitem", "__matmul__": "matmul",
-}
-
-#: Process-level cache keyed by the backward *code object* — one entry
-#: per op definition site in the engine.  Ops defined at module level
-#: keep it tiny, but dynamically built closures (fused kernels compiled
-#: per shape, test fixtures) can mint fresh code objects, so the cache
-#: is bounded; and it is shared by every thread that profiles or
-#: captures IR, so access goes through ``_NAME_LOCK``: the size check,
-#: clear and insert run as one step and the bound holds.
-NAME_CACHE_MAX = 1024
-
-_NAME_LOCK = threading.Lock()
-_NAME_CACHE: Dict[object, str] = {}
 
 
 def module_label(module) -> str:
@@ -63,37 +37,6 @@ def module_label(module) -> str:
 def join_module_path(stack: List[str]) -> str:
     """Render a module stack as a single attribution path string."""
     return PATH_SEPARATOR.join(stack)
-
-
-def op_name_from_backward(backward) -> str:
-    """Friendly op name derived from an op's backward closure.
-
-    Engine ops define ``backward`` as a nested function, so its
-    ``__qualname__`` looks like ``Tensor.matmul.<locals>.backward``;
-    the enclosing method name is the op.  Dunders map through
-    :data:`FRIENDLY_OP_NAMES` to the FLOP-model vocabulary.
-    """
-    code = getattr(backward, "__code__", None)
-    key = code if code is not None else backward
-    with _NAME_LOCK:
-        name = _NAME_CACHE.get(key)
-        if name is None:
-            qualname = getattr(backward, "__qualname__", "")
-            raw = qualname.split(".<locals>")[0].rsplit(".", 1)[-1] or "op"
-            name = FRIENDLY_OP_NAMES.get(raw, raw)
-            if len(_NAME_CACHE) >= NAME_CACHE_MAX:
-                # Dropping everything is simpler than LRU bookkeeping and
-                # just as good: steady state re-fills with the ~30 engine
-                # ops in a handful of lookups.
-                _NAME_CACHE.clear()
-            _NAME_CACHE[key] = name
-    return name
-
-
-def clear_name_cache() -> None:
-    """Empty the op-name cache (tests; never required for correctness)."""
-    with _NAME_LOCK:
-        _NAME_CACHE.clear()
 
 
 class ModulePathTracker:

@@ -2,15 +2,15 @@
 
 The span tracer (:mod:`repro.obs.tracing`) answers *which phase is
 slow*; :class:`OpProfiler` answers *which tensor op*, at the granularity
-the numpy autograd engine actually executes: every op output built by
-``Tensor._make_child`` (forward) and every backward node dispatch.  It
+the numpy autograd engine actually executes: every op output the
+engine builds (forward) and every backward node dispatch.  It
 is an engine observer (:mod:`repro.nn.hooks`), and for each op it
 records
 
 * call count and wall seconds,
-* an analytic FLOP estimate from operand shapes (the shared FLOP model
-  in :mod:`repro.analysis.shapes.flops`; backward ops are estimated at
-  2x their forward formula),
+* an analytic FLOP estimate from operand shapes (each op's formula in
+  the registry, :mod:`repro.nn.ops`; backward ops are estimated at 2x
+  their forward formula),
 * output bytes (forward only),
 * the owning module path (``SDEAModel/TransformerEncoder/...``),
   maintained from the observer's module enter/exit events; backward
@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..nn.hooks import Observer, register_observer
 from . import metrics
-from .attribution import ModulePathTracker, op_name_from_backward
+from .attribution import ModulePathTracker
 
 __all__ = [
     "OpEvent", "OpStat", "OpProfiler",
@@ -145,7 +145,6 @@ class OpProfiler(Observer):
         # ops to the forward module without pinning tensors.
         self._creators: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._hook_handle = None
-        self._flops_for = None  # bound at install()
 
     # ------------------------------------------------------------------ #
     # Install / uninstall
@@ -157,9 +156,6 @@ class OpProfiler(Observer):
             return self
         if _active is not None:
             raise RuntimeError("another OpProfiler is already installed")
-        from ..analysis.shapes.flops import flops_for
-
-        self._flops_for = flops_for
         self._hook_handle = register_observer(self)
         self._t0 = self._mark = time.perf_counter()
         self._installed = True
@@ -201,15 +197,13 @@ class OpProfiler(Observer):
     def backward_started(self, root, grad) -> None:
         self._mark = time.perf_counter()
 
-    def op_created(self, out, data, parents, backward) -> None:
+    def op_created(self, out, call) -> None:
         now = time.perf_counter()
         wall = now - self._mark
-        op = op_name_from_backward(backward)
-        flops = self._flops_for(op, [p.shape for p in parents],
-                                out.data.shape)
+        flops = call.op.flops([p.shape for p in call.inputs], out.data.shape)
         nbytes = int(getattr(out.data, "nbytes", 0))
         module = self._paths.path()
-        self._bump(op, "forward", module, wall, flops, nbytes,
+        self._bump(call.op.name, "forward", module, wall, flops, nbytes,
                    ts=self._mark - self._t0)
         # Live-memory accounting: finalize fires when the output dies.
         self.live_bytes += nbytes
@@ -224,14 +218,12 @@ class OpProfiler(Observer):
     def node_dispatched(self, node, grad, contributions) -> None:
         now = time.perf_counter()
         wall = now - self._mark
-        op = op_name_from_backward(node._backward)
+        op = node._backward.op
         # Standard estimate: backward of an op costs ~2x its forward
         # (one gradient per operand over the same contraction sizes).
-        flops = 2 * self._flops_for(
-            op, [p.shape for p in node._parents], node.shape
-        )
+        flops = 2 * op.flops([p.shape for p in node._parents], node.shape)
         module = self._creators.get(node, "")
-        self._bump(op, "backward", module, wall, flops, 0,
+        self._bump(op.name, "backward", module, wall, flops, 0,
                    ts=self._mark - self._t0)
         self._mark = time.perf_counter()
 

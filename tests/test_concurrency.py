@@ -2,7 +2,7 @@
 
 The pipeline runs on one thread, but a caller may still use the library
 from several: the metric instruments, the forward-hook list and the
-op-name and signature caches are shared and lock-guarded, while grad
+signature cache are shared and lock-guarded, while grad
 mode and fused-kernel activation are per thread.  Each test drives one
 of them from several threads, so a dropped lock or a leaked flag fails
 here.
@@ -32,28 +32,6 @@ def hammer(worker, threads=8):
 
 
 class TestThreadSafetyPins:
-    def test_attribution_name_cache_is_locked_and_bounded(self):
-        from repro.obs.attribution import (
-            NAME_CACHE_MAX,
-            _NAME_CACHE,
-            clear_name_cache,
-            op_name_from_backward,
-        )
-
-        clear_name_cache()
-
-        def worker(index):
-            for i in range(300):
-                def backward():  # fresh code object per call site is not
-                    return None  # possible; vary via lambda default
-                backward.__qualname__ = f"Tensor.op{index}_{i}.<locals>.backward"
-                op_name_from_backward(backward)
-                if i % 97 == 0:
-                    clear_name_cache()
-
-        hammer(worker)
-        assert len(_NAME_CACHE) <= NAME_CACHE_MAX
-
     def test_counter_increments_are_exact_under_contention(self):
         from repro.obs.metrics import Registry, set_registry
 

@@ -10,8 +10,8 @@ class Recorder(hooks.Observer):
     def __init__(self):
         self.events = []
 
-    def op_created(self, out, data, parents, backward):
-        self.events.append(("op", len(parents)))
+    def op_created(self, out, call):
+        self.events.append(("op", len(call.inputs)))
 
     def node_dispatched(self, node, grad, contributions):
         self.events.append(("dispatch", len(contributions)))

@@ -27,6 +27,7 @@ from repro.analysis.ir import (
 from repro.cli import main
 from repro.experiments.methods import available_methods
 from repro.nn import SGD, Linear, Parameter, Tensor, hooks
+from repro.nn.kernels import use_kernels
 from repro.nn.layers import MLP
 from repro.obs.profile import OpProfiler
 
@@ -485,6 +486,20 @@ class TestMethodIntegration:
             result = replay(capture)
             assert result.ok, result.mismatches
             assert result.opaque_ops == []
+
+    def test_sdea_fused_phases_replay(self):
+        # Every fused kernel is a registered op: its forward and VJP
+        # re-run on the snapshots, parameters read from the capture.
+        with use_kernels():
+            captures = capture_method("sdea")
+        fused = [n.op for c in captures for n in c.graph.op_nodes()
+                 if n.op.startswith("fused_")]
+        assert len(fused) == 27
+        for capture in captures:
+            result = replay(capture)
+            assert result.ok, result.mismatches
+            assert result.opaque_ops == []
+            assert result.grads_matched == result.grads_checked > 0
 
     @pytest.mark.parametrize("method", available_methods())
     def test_no_error_finding_in_any_phase(self, method):

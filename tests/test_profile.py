@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis.shapes.flops import FLOP_FORMULAS, covered_ops, flops_for
+from repro.nn.ops import OPS as FLOP_FORMULAS
+from repro.nn.ops import flops_for
 from repro.experiments import run_experiment
 from repro.nn import hooks
 from repro.nn.attention import MultiHeadSelfAttention
@@ -53,7 +54,7 @@ class TestFlopModel:
 
     def test_data_movement_is_free(self):
         for op in ("reshape", "transpose"):
-            if op in covered_ops():
+            if op in FLOP_FORMULAS:
                 assert flops_for(op, [(8, 8)], (64,)) == 0
 
     def test_unknown_op_is_zero_not_crash(self):

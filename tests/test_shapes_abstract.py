@@ -9,12 +9,12 @@ from repro.analysis.shapes.abstract import (
     AbstractShapeError,
     AbstractTensor,
     SymbolicTrace,
-    abstract_concatenate,
     broadcast_sym,
     lift_tensor,
 )
 from repro.analysis.shapes.dims import Dim, DimExpr, ShapeEnv, as_expr
 from repro.nn.tensor import Tensor, concatenate, no_grad, stack, where
+from repro.nn.tensor import concatenate as abstract_concatenate
 from repro.nn.tensor import _unbroadcast
 
 
