@@ -45,7 +45,7 @@ from repro.align.similarity import (  # noqa: E402
 from repro.analysis.ir import capture_step, replay  # noqa: E402
 from repro.nn.ops import flops_for  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
-from repro.nn.attention import MultiHeadSelfAttention  # noqa: E402
+from repro.nn.attention import MultiHeadSelfAttention, TokenLayout  # noqa: E402
 from repro.nn.layers import MLP  # noqa: E402
 from repro.nn.kernels import use_kernels  # noqa: E402
 from repro.nn.rnn import BiGRU  # noqa: E402
@@ -112,8 +112,9 @@ def bench_attention() -> Bench:
     def make():
         rng = _rng()
         mha = MultiHeadSelfAttention(dim, heads, rng)
-        x = Tensor(rng.normal(size=(batch, steps, dim)))
-        return lambda: mha(x)
+        x = Tensor(rng.normal(size=(batch * steps, dim)))
+        layout = TokenLayout.dense(batch, steps)
+        return lambda: mha(x, layout)
 
     return Bench("mha_step",
                  f"multi-head self-attention B={batch} T={steps} "
@@ -192,11 +193,12 @@ def bench_attention_fused() -> Bench:
     def make():
         rng = _rng()
         mha = MultiHeadSelfAttention(dim, heads, rng)
-        x = Tensor(rng.normal(size=(batch, steps, dim)))
+        x = Tensor(rng.normal(size=(batch * steps, dim)))
+        layout = TokenLayout.dense(batch, steps)
 
         def run():
             with use_kernels():
-                return mha(x)
+                return mha(x, layout)
 
         return run
 

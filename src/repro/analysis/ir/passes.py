@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ...nn.ops import OPS
 from ...nn.tensor import DEFAULT_DTYPE
 from ..findings import Finding, count_findings, filter_findings, \
     format_findings_text, gate_findings
@@ -95,25 +96,6 @@ def _finding(code: str, message: str, where: str = "") -> Finding:
 # ---------------------------------------------------------------------- #
 # G001 — liveness / memory planning
 # ---------------------------------------------------------------------- #
-#: What each op's VJP (repro.nn.ops) actually reads, beyond shapes:
-#: (parent indices whose *values* it needs, whether it needs its own
-#: output).  Ops absent from this table are treated conservatively
-#: (all parents + output) — fused kernels land there.
-_BACKWARD_NEEDS: Dict[str, Tuple[object, bool]] = {
-    "add": ((), False), "sub": ((), False), "neg": ((), False),
-    "transpose": ((), False), "swapaxes": ((), False),
-    "reshape": ((), False), "getitem": ((), False), "take": ((), False),
-    "concatenate": ((), False), "stack": ((), False), "where": ((), False),
-    "sum": ((), False), "mean": ((), False), "relu": ((), False),
-    "mul": ("all", False), "div": ("all", False), "matmul": ("all", False),
-    "pow": ((0,), False), "log": ((0,), False), "abs": ((0,), False),
-    "clip_min": ((0,), False),
-    "exp": ((), True), "sqrt": ((), True), "tanh": ((), True),
-    "sigmoid": ((), True),
-    "max": ((0,), True),
-}
-
-
 @dataclass
 class MemoryPlan:
     """Liveness-planned activation memory for the captured step.
@@ -152,6 +134,18 @@ class MemoryPlan:
         }
 
 
+def _vjp_reads(node: IRNode) -> Sequence[object]:
+    """What ``node``'s VJP reads: operand positions and ``"out"``.
+
+    Read off the op record (``Op.reads``); an op without a declaration
+    (an opaque node) counts as reading every operand and its output.
+    """
+    op = OPS.get(node.op)
+    if op is None or op.reads is None:
+        return (*range(len(node.parents)), "out")
+    return op.reads
+
+
 def plan_memory(capture: StepCapture) -> MemoryPlan:
     graph = capture.graph
     live = graph.live_set()
@@ -174,16 +168,10 @@ def plan_memory(capture: StepCapture) -> MemoryPlan:
             continue
         bpos = forward_len + t
         dispatch_len = max(dispatch_len, t + 1)
-        parents_needed, needs_out = _BACKWARD_NEEDS.get(
-            node.op, ("all", True))
-        if needs_out:
-            last_use[uid] = max(last_use[uid], bpos)
-        indices = range(len(node.parents)) if parents_needed == "all" \
-            else parents_needed
-        for i in indices:
-            if i < len(node.parents) and node.parents[i] in pos:
-                parent = node.parents[i]
-                last_use[parent] = max(last_use[parent], bpos)
+        for i in _vjp_reads(node):
+            value = uid if i == "out" else node.parents[i]
+            if value in pos:
+                last_use[value] = max(last_use[value], bpos)
 
     timeline = forward_len + dispatch_len
     if graph.root in pos:

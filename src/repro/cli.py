@@ -517,7 +517,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         op_events=profiler.trace_events(),
         metadata={"method": args.method, "dataset": pair.name},
     ))
-    print(f"chrome trace: {out}  (open in https://ui.perfetto.dev)")
+    # stderr under --format json keeps stdout one JSON document
+    print(f"chrome trace: {out}  (open in https://ui.perfetto.dev)",
+          file=sys.stderr if args.format == "json" else sys.stdout)
     return 0
 
 

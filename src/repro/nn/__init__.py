@@ -7,7 +7,8 @@ optimisers.
 """
 
 from . import functional, kernels
-from .attention import GlobalAttentionPooling, MultiHeadSelfAttention
+from .attention import GlobalAttentionPooling, MultiHeadSelfAttention, \
+    TokenLayout
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
 from .optim import Adam, LinearWarmupSchedule, SGD, clip_grad_norm
@@ -31,7 +32,7 @@ __all__ = [
     "DEFAULT_DTYPE",
     "Module", "ModuleList", "Parameter",
     "Linear", "Embedding", "LayerNorm", "Dropout", "MLP",
-    "MultiHeadSelfAttention", "GlobalAttentionPooling",
+    "MultiHeadSelfAttention", "GlobalAttentionPooling", "TokenLayout",
     "GRUCell", "GRU", "BiGRU",
     "TransformerEncoder", "TransformerEncoderLayer",
     "SGD", "Adam", "clip_grad_norm", "LinearWarmupSchedule",

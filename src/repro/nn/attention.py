@@ -1,8 +1,8 @@
 """Attention mechanisms.
 
 Contains the multi-head self-attention block used by the mini-BERT
-encoder, and the global-vector attention pooling used by SDEA's relation
-embedding module (Eq. 12–15).
+encoder, the token layout it runs on, and the global-vector attention
+pooling used by SDEA's relation embedding module (Eq. 12–15).
 """
 
 from __future__ import annotations
@@ -15,9 +15,60 @@ from . import functional as F
 from ..analysis.shapes.spec import shape_spec
 from .layers import Dropout, Linear
 from .module import Module
-from .tensor import Tensor
+from .tensor import Tensor, concatenate
 
 _NEG_INF = -1e9
+
+
+class TokenLayout:
+    """Where the real tokens of a padded ``(B, T)`` batch sit.
+
+    The transformer runs position-wise work (every Linear, GELU,
+    LayerNorm, residual add and dropout) on the ``(N, D)`` rows of the
+    N real tokens, in row-major grid order, and only attention's core
+    on the padded ``(B, H, T, T)`` grid: the padding-free layout of
+    ByteTransformer (Zhai et al., IPDPS 2023).
+
+    ``real`` holds the flat grid indices of the real tokens; ``slots``
+    maps each grid slot to its packed row, and the padding slots to
+    rows ``N, N+1, ...``: the zero rows :meth:`pad` appends.  No row
+    is read twice, so the gather's gradient needs no accumulation.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = np.asarray(mask, dtype=bool)
+        if self.mask.ndim != 2:
+            raise ValueError(f"expected a (batch, seq) mask, got shape "
+                             f"{self.mask.shape}")
+        self.batch, self.steps = self.mask.shape
+        self.real = np.flatnonzero(self.mask)
+        self.count = len(self.real)
+        self.padded = self.count < self.mask.size
+        order = np.concatenate([self.real, np.flatnonzero(~self.mask)])
+        slots = np.empty(self.mask.size, dtype=np.intp)
+        slots[order] = np.arange(self.mask.size)
+        self.slots = slots.reshape(self.mask.shape)
+        #: ``(B, 1, 1, T)`` score bias: 0 on real keys, -1e9 on padding.
+        self.key_bias = np.where(self.mask[:, None, None, :], 0.0, _NEG_INF)
+
+    @classmethod
+    def dense(cls, batch: int, steps: int) -> "TokenLayout":
+        """The layout of a batch with no padding (N = B·T)."""
+        return cls(np.ones((batch, steps), dtype=bool))
+
+    def pad(self, rows: Tensor) -> Tensor:
+        """Scatter ``(N, D)`` rows onto the ``(B, T, D)`` grid, zero at padding."""
+        width = rows.shape[-1]
+        if not self.padded:
+            return rows.reshape(self.batch, self.steps, width)
+        zeros = Tensor(np.zeros((self.mask.size - self.count, width),
+                                dtype=rows.dtype))
+        return concatenate([rows, zeros]).take(self.slots)
+
+    def unpad(self, grid: Tensor) -> Tensor:
+        """Gather the real tokens' ``(N, D)`` rows from a ``(B, T, D)`` grid."""
+        flat = grid.reshape(self.batch * self.steps, grid.shape[-1])
+        return flat.take(self.real) if self.padded else flat
 
 
 class MultiHeadSelfAttention(Module):
@@ -49,37 +100,38 @@ class MultiHeadSelfAttention(Module):
         self.output = Linear(dim, dim, rng)
         self.dropout = Dropout(dropout, rng) if dropout > 0 else None
 
-    def _split_heads(self, x: Tensor, batch: int, steps: int) -> Tensor:
-        # (B, T, D) -> (B, H, T, D_h)
-        return x.reshape(batch, steps, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
+    def _heads(self, rows: Tensor, layout: TokenLayout) -> Tensor:
+        # (N, D) -> (B, T, D) -> (B, H, T, D_h)
+        grid = layout.pad(rows)
+        return grid.reshape(layout.batch, layout.steps, self.num_heads,
+                            self.head_dim).transpose(0, 2, 1, 3)
 
-    @shape_spec(x="b t dim", returns="b t dim")
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    @shape_spec(x="n dim", returns="n dim")
+    def forward(self, x: Tensor, layout: TokenLayout) -> Tensor:
         """Attend within each sequence.
 
         Parameters
         ----------
         x:
-            Input of shape ``(B, T, D)``.
-        mask:
-            Boolean array ``(B, T)``; ``False`` marks padding keys that must
+            The real tokens' rows ``(N, D)``, ordered as ``layout.real``.
+        layout:
+            Where those tokens sit in the ``(B, T)`` grid; padding keys
             receive zero attention.
         """
-        batch, steps, _ = x.shape
-        q = self._split_heads(self.query(x), batch, steps)
-        k = self._split_heads(self.key(x), batch, steps)
-        v = self._split_heads(self.value(x), batch, steps)
+        q = self._heads(self.query(x), layout)
+        k = self._heads(self.key(x), layout)
+        v = self._heads(self.value(x), layout)
 
         scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)
-        if mask is not None:
-            bias = np.where(mask[:, None, None, :], 0.0, _NEG_INF)
-            scores = scores + Tensor(bias)
+        if layout.padded:
+            scores = scores + Tensor(layout.key_bias)
         probs = F.softmax(scores, axis=-1)
         if self.dropout is not None:
             probs = self.dropout(probs)
         context = probs @ v  # (B, H, T, D_h)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, steps, self.dim)
-        return self.output(merged)
+        merged = context.transpose(0, 2, 1, 3).reshape(
+            layout.batch, layout.steps, self.dim)
+        return self.output(layout.unpad(merged))
 
 
 class GlobalAttentionPooling(Module):

@@ -209,8 +209,10 @@ def _gru_shape(ctx, x, w, u, b, *, mask, reverse):
     return (batch, steps, hidden), x.dtype
 
 
+# The backward reads x (for dW) and both weight matrices; b only
+# lends its shape to db.
 GRU_SEQUENCE = defop("fused_gru_sequence", _gru_forward, _gru_vjp,
-                     _gru_flops, _gru_shape, saves=True)
+                     _gru_flops, _gru_shape, saves=True, reads=(0, 1, 2))
 
 
 def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,

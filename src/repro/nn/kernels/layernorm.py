@@ -61,9 +61,10 @@ def _layer_norm_shape(ctx, x, gamma, beta, *, eps):
 
 
 # mean, center, square-mean, sqrt, divide, scale, shift: ~8 per element.
+# The backward reads gamma; x's intermediates come from ``saved``.
 LAYER_NORM = defop("fused_layer_norm", _layer_norm_forward, _layer_norm_vjp,
                    lambda operands, out: 8 * numel(out), _layer_norm_shape,
-                   saves=True)
+                   saves=True, reads=(1,))
 
 
 def fused_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -118,17 +118,19 @@ def _cross_entropy_shape(ctx, logits, *, targets, ignore_index):
 # FLOPs mirror the composed decompositions the kernels replace: max,
 # subtract, exp, sum, divide (softmax, 5 per element); log-softmax adds
 # a log (6); cross-entropy is dominated by its logits' log-softmax.
+# Each backward reads only its saved buffers.
 SOFTMAX = defop("fused_softmax", _softmax_forward, _softmax_vjp,
-                lambda operands, out: 5 * numel(out), same_shape, saves=True)
+                lambda operands, out: 5 * numel(out), same_shape, saves=True,
+                reads=())
 
 LOG_SOFTMAX = defop("fused_log_softmax", _log_softmax_forward,
                     _log_softmax_vjp, lambda operands, out: 6 * numel(out),
-                    same_shape, saves=True)
+                    same_shape, saves=True, reads=())
 
 CROSS_ENTROPY = defop("fused_cross_entropy", _cross_entropy_forward,
                       _cross_entropy_vjp,
                       lambda operands, out: 6 * in_elems(operands, out),
-                      _cross_entropy_shape, saves=True)
+                      _cross_entropy_shape, saves=True, reads=())
 
 
 def fused_softmax(x: Tensor, axis: int = -1) -> Tensor:

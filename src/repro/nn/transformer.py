@@ -3,17 +3,20 @@
 Pre-LN is deliberately *not* used: the original BERT uses post-LN residual
 blocks, and the attribute-embedding module of SDEA fine-tunes a BERT
 encoder, so we follow the same block structure at a smaller scale.
+
+The blocks take the real tokens' ``(N, D)`` rows plus their
+:class:`~repro.nn.attention.TokenLayout`: every position-wise layer is
+one 2-D product over the N rows, and only attention sees the padded
+grid.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from . import functional as F
 from ..analysis.shapes.spec import shape_spec
-from .attention import MultiHeadSelfAttention
+from .attention import MultiHeadSelfAttention, TokenLayout
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module, ModuleList
 from .tensor import Tensor
@@ -32,9 +35,9 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(dim)
         self.dropout = Dropout(dropout, rng) if dropout > 0 else None
 
-    @shape_spec(x="b t attention.dim", returns="b t attention.dim")
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        attended = self.attention(x, mask)
+    @shape_spec(x="n attention.dim", returns="n attention.dim")
+    def forward(self, x: Tensor, layout: TokenLayout) -> Tensor:
+        attended = self.attention(x, layout)
         if self.dropout is not None:
             attended = self.dropout(attended)
         x = self.norm1(x + attended)
@@ -55,9 +58,9 @@ class TransformerEncoder(Module):
             for _ in range(num_layers)
         )
 
-    @shape_spec(x="b t d", returns="b t d")
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    @shape_spec(x="n d", returns="n d")
+    def forward(self, x: Tensor, layout: TokenLayout) -> Tensor:
         out = x
         for layer in self.layers:
-            out = layer(out, mask)
+            out = layer(out, layout)
         return out

@@ -5,6 +5,11 @@ attribute-embedding module.  Architecture follows BERT exactly at reduced
 scale: learned token + position embeddings, LayerNorm, a stack of post-LN
 transformer encoder blocks, and the final hidden state of the ``[CLS]``
 token as the sequence representation C(e) (paper Eq. 6).
+
+:meth:`MiniBert.forward` computes on the real tokens only: every
+position-wise layer runs on their packed ``(N, D)`` rows, and only
+attention's scores, softmax and ``probs @ V`` see the padded grid
+(:class:`~repro.nn.attention.TokenLayout`).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from ..nn import (
     Linear,
     Module,
     Tensor,
+    TokenLayout,
     TransformerEncoder,
 )
 from .tokenizer import WordPieceTokenizer
@@ -66,7 +72,11 @@ class MiniBert(Module):
 
     def forward(self, ids: np.ndarray,
                 mask: Optional[np.ndarray] = None) -> Tensor:
-        """Encode token ids ``(B, T)`` into hidden states ``(B, T, D)``."""
+        """Encode token ids ``(B, T)`` into hidden states ``(B, T, D)``.
+
+        ``mask`` marks the real tokens (``None``: every token is real).
+        Only they are encoded; the states at padding slots are zero.
+        """
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError(f"expected (batch, seq) ids, got shape {ids.shape}")
@@ -75,10 +85,18 @@ class MiniBert(Module):
                 f"sequence length {ids.shape[1]} exceeds max_len "
                 f"{self.config.max_len}"
             )
-        positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-        hidden = self.token_embedding(ids) + self.position_embedding(positions)
-        hidden = self.embed_dropout(self.embed_norm(hidden))
-        return self.encoder(hidden, mask)
+        if mask is None:
+            layout = TokenLayout.dense(*ids.shape)
+        elif np.shape(mask) != ids.shape:
+            raise ValueError(f"mask shape {np.shape(mask)} does not match "
+                             f"ids shape {ids.shape}")
+        else:
+            layout = TokenLayout(mask)
+        tokens = ids.reshape(-1)[layout.real]
+        positions = layout.real % ids.shape[1]
+        rows = self.token_embedding(tokens) + self.position_embedding(positions)
+        rows = self.embed_dropout(self.embed_norm(rows))
+        return layout.pad(self.encoder(rows, layout))
 
     def encode_cls(self, ids: np.ndarray,
                    mask: Optional[np.ndarray] = None) -> Tensor:
@@ -120,11 +138,13 @@ class SequenceEncoder:
     """Padded token rows, handed out in batches trimmed to their longest row.
 
     Each row is ``[CLS]`` + word pieces followed by trailing ``[PAD]``
-    (:meth:`WordPieceTokenizer.encode`).  Masked keys get zero attention
-    weight, so in eval mode MiniBert's states at the real tokens are the
-    same function of the same tokens at any width (up to float rounding
-    in the sums over keys); cutting the columns that are padding in every
-    selected row only saves work.
+    (:meth:`WordPieceTokenizer.encode`).  MiniBert computes position-wise
+    layers on the real tokens only, and masked keys get zero attention
+    weight, so in eval mode its states at the real tokens are the same
+    function of the same tokens at any width (up to float rounding in
+    the sums over keys).  The batch width is the attention grid's T:
+    cutting the columns that are padding in every selected row shrinks
+    the ``(B, H, T, T)`` scores.
     """
 
     def __init__(self, ids: np.ndarray, mask: np.ndarray):

@@ -76,7 +76,10 @@ def pretrain_mlm(model: BertForMaskedLM, vocab: Vocab, ids: np.ndarray,
 
     ``ids``/``mask`` are ``[CLS]``-led rows as :class:`SequenceEncoder`
     holds them.  Rows with no token after ``[CLS]`` (blank texts) are
-    dropped; every batch is trimmed to its longest row.
+    dropped; every batch is trimmed to its longest row, the width of
+    its attention grid.  MiniBert's position-wise layers and dropout
+    run on the batch's real tokens only, and the head on the masked
+    ones.
     """
     rng = np.random.default_rng(config.seed)
     mask = np.asarray(mask, dtype=bool)

@@ -3,44 +3,86 @@
 import numpy as np
 import pytest
 
-from repro.nn import GlobalAttentionPooling, MultiHeadSelfAttention, Tensor
+from repro.nn import GlobalAttentionPooling, MultiHeadSelfAttention, Tensor, \
+    TokenLayout
+
+
+class TestTokenLayout:
+    MASK = np.array([[True, True, False], [True, False, False],
+                     [True, True, True]])
+
+    def test_indices(self):
+        layout = TokenLayout(self.MASK)
+        assert (layout.batch, layout.steps, layout.count) == (3, 3, 6)
+        assert layout.padded
+        np.testing.assert_array_equal(layout.real, [0, 1, 3, 6, 7, 8])
+        # Padding slots point past row N, at the zero rows pad() appends.
+        np.testing.assert_array_equal(layout.slots,
+                                      [[0, 1, 6], [2, 7, 8], [3, 4, 5]])
+
+    def test_pad_unpad_round_trip(self):
+        layout = TokenLayout(self.MASK)
+        rows = np.random.default_rng(0).normal(size=(6, 4))
+        grid = layout.pad(Tensor(rows))
+        assert grid.shape == (3, 3, 4)
+        np.testing.assert_array_equal(grid.data[self.MASK], rows)
+        np.testing.assert_array_equal(grid.data[~self.MASK], 0.0)
+        np.testing.assert_array_equal(layout.unpad(grid).data, rows)
+
+    def test_pad_gradient_reaches_real_rows_only(self):
+        layout = TokenLayout(self.MASK)
+        rows = Tensor(np.ones((6, 4)), requires_grad=True)
+        seed = np.random.default_rng(1).normal(size=(3, 3, 4))
+        layout.pad(rows).backward(seed)
+        np.testing.assert_array_equal(rows.grad, seed[self.MASK])
+
+    def test_dense_layout_is_a_reshape(self):
+        layout = TokenLayout.dense(2, 3)
+        assert not layout.padded and layout.count == 6
+        rows = Tensor(np.arange(12.0).reshape(6, 2))
+        np.testing.assert_array_equal(layout.pad(rows).data,
+                                      rows.data.reshape(2, 3, 2))
+
+    def test_rejects_1d_mask(self):
+        with pytest.raises(ValueError):
+            TokenLayout(np.ones(4, dtype=bool))
 
 
 class TestMultiHeadSelfAttention:
     def test_output_shape(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng)
-        out = attn(Tensor(np.ones((2, 5, 8))))
-        assert out.shape == (2, 5, 8)
+        out = attn(Tensor(np.ones((10, 8))), TokenLayout.dense(2, 5))
+        assert out.shape == (10, 8)
 
     def test_rejects_indivisible_heads(self, rng):
         with pytest.raises(ValueError):
             MultiHeadSelfAttention(10, 3, rng)
 
     def test_masked_keys_do_not_influence_output(self, rng):
+        """A padded row attends exactly as the same tokens alone."""
         attn = MultiHeadSelfAttention(8, 2, rng)
-        base = np.random.default_rng(0).normal(size=(1, 4, 8))
-        variant = base.copy()
-        variant[0, 3] = 100.0
+        rows = np.random.default_rng(0).normal(size=(3, 8))
         mask = np.array([[True, True, True, False]])
-        out1 = attn(Tensor(base), mask).data
-        out2 = attn(Tensor(variant), mask).data
-        np.testing.assert_allclose(out1[0, :3], out2[0, :3], atol=1e-9)
+        padded = attn(Tensor(rows), TokenLayout(mask)).data
+        alone = attn(Tensor(rows), TokenLayout.dense(1, 3)).data
+        np.testing.assert_allclose(padded, alone, atol=1e-9)
 
     def test_gradients_flow(self, rng):
         attn = MultiHeadSelfAttention(8, 4, rng)
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8)),
+        x = Tensor(np.random.default_rng(1).normal(size=(6, 8)),
                    requires_grad=True)
-        attn(x).sum().backward()
+        attn(x, TokenLayout.dense(2, 3)).sum().backward()
         assert np.abs(x.grad).sum() > 0
 
     def test_permutation_equivariance_without_positions(self, rng):
         """Self-attention itself is permutation-equivariant."""
         attn = MultiHeadSelfAttention(8, 2, rng)
-        x = np.random.default_rng(2).normal(size=(1, 4, 8))
+        x = np.random.default_rng(2).normal(size=(4, 8))
         perm = [2, 0, 3, 1]
-        out = attn(Tensor(x)).data
-        out_perm = attn(Tensor(x[:, perm])).data
-        np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-9)
+        layout = TokenLayout.dense(1, 4)
+        out = attn(Tensor(x), layout).data
+        out_perm = attn(Tensor(x[perm]), layout).data
+        np.testing.assert_allclose(out[perm], out_perm, atol=1e-9)
 
 
 class TestGlobalAttentionPooling:

@@ -73,6 +73,11 @@ class TestMiniBert:
         with pytest.raises(ValueError):
             bert(np.zeros(8, dtype=int))
 
+    def test_rejects_mask_of_another_shape(self, config, rng):
+        bert = MiniBert(config, rng)
+        with pytest.raises(ValueError, match="mask shape"):
+            bert(np.zeros((2, 8), dtype=int), np.ones((2, 7), dtype=bool))
+
     def test_position_matters(self, config, rng, tokenizer):
         bert = MiniBert(config, rng)
         bert.eval()
@@ -81,6 +86,95 @@ class TestMiniBert:
         out1 = bert.encode_cls(np.array([ids1]), np.array([mask])).data
         out2 = bert.encode_cls(np.array([ids2]), np.array([mask])).data
         assert not np.allclose(out1, out2)
+
+
+class TestPackedEncoder:
+    """MiniBert computes on the real tokens; padding changes nothing."""
+
+    MASK = np.array([[True] * 6 + [False] * 3,
+                     [True] * 9,
+                     [True] * 2 + [False] * 7])
+
+    @pytest.fixture()
+    def batch(self, config):
+        ids = np.random.default_rng(7).integers(5, config.vocab_size,
+                                                size=self.MASK.shape)
+        return ids, self.MASK
+
+    def test_states_equal_rows_encoded_alone(self, config, rng, batch):
+        bert = MiniBert(config, rng)
+        bert.eval()
+        ids, mask = batch
+        states = bert(ids, mask).data
+        for row, length in enumerate(mask.sum(axis=1)):
+            alone = bert(ids[row:row + 1, :length]).data[0]
+            np.testing.assert_allclose(states[row, :length], alone,
+                                       rtol=1e-12, atol=0)
+        assert np.all(states[~mask] == 0.0)
+
+    def test_padding_ids_are_never_read(self, config, rng, batch):
+        bert = MiniBert(config, rng)
+        bert.eval()
+        ids, mask = batch
+        other = ids.copy()
+        other[~mask] = np.random.default_rng(8).integers(
+            0, config.vocab_size, size=int((~mask).sum()))
+        np.testing.assert_array_equal(bert(ids, mask).data,
+                                      bert(other, mask).data)
+
+    def test_gradients_are_the_sum_of_rows_alone(self, config, rng, batch):
+        bert = MiniBert(config, rng)
+        ids, mask = batch
+        weights = np.random.default_rng(9).normal(size=mask.shape + (16,))
+
+        def grads(row_ids, row_mask, row_weights):
+            bert.zero_grad()
+            (bert(row_ids, row_mask) * row_weights).sum().backward()
+            return [param.grad.copy() for param in bert.parameters()]
+
+        batched = grads(ids, mask, weights)
+        summed = None
+        for row, length in enumerate(mask.sum(axis=1)):
+            alone = grads(ids[row:row + 1, :length], None,
+                          weights[row:row + 1, :length])
+            summed = alone if summed is None else [
+                a + b for a, b in zip(summed, alone)]
+        for got, want in zip(batched, summed):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_dropout_draws_real_tokens_only(self, tokenizer, batch):
+        config = BertConfig(vocab_size=tokenizer.vocab_size, dim=16,
+                            num_heads=2, ff_dim=32, num_layers=2,
+                            max_len=12, dropout=0.1)
+        bert = MiniBert(config, np.random.default_rng(0))
+        draws = {}
+
+        class Recorder:
+            def __init__(self, name, rng):
+                self.name, self.rng = name, rng
+
+            def random(self, shape):
+                draws.setdefault(self.name, []).append(tuple(shape))
+                return self.rng.random(shape)
+
+        sites = {"embed": bert.embed_dropout}
+        for i, layer in enumerate(bert.encoder.layers):
+            sites[f"layer{i}"] = layer.dropout
+            sites[f"layer{i}.attention"] = layer.attention.dropout
+        for name, site in sites.items():
+            site._rng = Recorder(name, site._rng)
+        ids, mask = batch
+        bert.train()
+        bert(ids, mask)
+        count, (batch_size, steps) = int(mask.sum()), mask.shape
+        assert set(draws) == set(sites)
+        for name, shapes in draws.items():
+            if name.endswith(".attention"):
+                # Attention probabilities live on the padded grid.
+                assert shapes == [(batch_size, 2, steps, steps)]
+            else:
+                # Embedding dropout once, each block's dropout twice.
+                assert shapes == [(count, 16)] * (1 if name == "embed" else 2)
 
 
 class TestSequenceEncoder:

@@ -149,10 +149,12 @@ class TestCli:
     def test_profile_subcommand_json_format(self, tmp_path, capsys):
         assert main(["profile", "--method", "jape-stru", "--format", "json",
                      "--trace-out", str(tmp_path / "t.json")]) == 0
-        printed = capsys.readouterr().out
-        payload = json.loads(printed[:printed.rindex("}") + 1])
+        captured = capsys.readouterr()
+        # stdout is exactly one JSON document; the trace path goes to stderr
+        payload = json.loads(captured.out)
         assert payload["totals"]["flops_estimate"] > 0
         assert payload["top_ops"]
+        assert "chrome trace:" in captured.err
 
     def test_profile_unknown_method(self, capsys):
         assert main(["profile", "--method", "nope"]) == 1

@@ -480,7 +480,7 @@ class TestMethodIntegration:
     def test_sdea_captures_each_phase(self):
         # MLM pre-training, Alg.-2 fine-tuning, relation training.
         captures = capture_method("sdea")
-        assert [len(c.graph.nodes) for c in captures] == [142, 324, 1848]
+        assert [len(c.graph.nodes) for c in captures] == [156, 366, 1848]
         assert all(c.clean for c in captures)
         for capture in captures:
             result = replay(capture)

@@ -23,7 +23,7 @@ from repro.experiments.methods import make_method
 from repro.nn import functional as F
 from repro.nn.kernels import kernel_active, use_kernels
 from repro.nn.layers import LayerNorm
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, TokenLayout
 from repro.nn.rnn import GRU, BiGRU, GRUCell
 from repro.nn.tensor import DEFAULT_DTYPE, Tensor
 
@@ -171,9 +171,11 @@ class TestExactModeBitwise:
 
     def test_attention_all_kernels(self, rng):
         mha = MultiHeadSelfAttention(16, 4, rng)
-        x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
+        x = Tensor(rng.normal(size=(7, 16)), requires_grad=True)
+        layout = TokenLayout(np.array([[True] * 5, [True, True, False,
+                                                    False, False]]))
         params = [x] + list(mha.parameters())
-        assert_exact_bitwise(lambda: mha(x), params)
+        assert_exact_bitwise(lambda: mha(x, layout), params)
 
 
 class TestFiniteDifferences:

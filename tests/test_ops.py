@@ -7,6 +7,7 @@ the engine did: its forward reproduces the output bit for bit from the
 recorded attributes, its VJP returns one gradient per operand shaped
 like it, its FLOP formula gives a non-negative int, and its shape rule
 predicts the eager shape and dtype when the same call runs abstractly.
+Each VJP also reads no operand value its record leaves undeclared.
 """
 
 import numpy as np
@@ -143,6 +144,63 @@ def test_record_agrees_with_engine(name, case):
     assert tuple(int(e) for e in abstract.shape) == out.data.shape
     assert abstract.data.dtype == out.data.dtype
     assert abstract.requires_grad
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,case", [
+    (name, index) for name in sorted(CASES) for index in range(2)])
+def test_vjp_reads_only_what_it_declares(name, case):
+    """``Op.reads`` is what G001's liveness planner keeps alive: a VJP
+    handed NaN in place of every undeclared operand (and of its output,
+    when undeclared) must return the same gradients bit for bit."""
+    fn, arrays = CASES[name][case]
+    out = fn(*[Tensor(a, requires_grad=True) for a in arrays])
+    call = out._backward
+    op = call.op
+    inputs = [t.data for t in call.inputs]
+    grad = np.random.default_rng(11).normal(size=out.data.shape)
+
+    want = op.vjp(grad.copy(), call.out, call.saved, *inputs, **call.attrs)
+    blanked = [x if i in op.reads else np.full(x.shape, np.nan)
+               for i, x in enumerate(inputs)]
+    blanked_out = call.out if "out" in op.reads \
+        else np.full(np.shape(call.out), np.nan)
+    got = op.vjp(grad.copy(), blanked_out, call.saved, *blanked,
+                 **call.attrs)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert _same_bits(a, b), f"{name}: gradient {i} reads more than " \
+            f"{op.reads}"
+
+
+@pytest.mark.parametrize("index", [
+    np.array([3, 0, 4, 1]),                 # unique rows: one buffered add
+    np.array([[2, -1], [0, 1]]),            # unique after wrapping
+    np.array([1, 4, 1, 0]),                 # a repeated row: add.at
+    np.array([-1, 4]),                      # the same row twice
+])
+def test_gather_gradient_equals_add_at(index):
+    """The gather VJPs' fast path gives ``np.add.at``'s bits."""
+    rng = np.random.default_rng(3)
+    grad = rng.normal(size=index.shape + (3,))
+    grad.flat[::4] = -0.0                   # add.at turns -0.0 into 0.0
+    a = rng.normal(size=(5, 3))
+    want = np.zeros_like(a)
+    np.add.at(want, index, grad)
+    for got in (OPS["take"].vjp(grad, None, None, a, indices=index, axis=0),
+                OPS["getitem"].vjp(grad, None, None, a, index=index)):
+        assert got[0].tobytes() == want.tobytes()
+    if index.ndim == 1:                     # the same scatter along axis 1
+        got = OPS["take"].vjp(grad.T.copy(), None, None, a.T.copy(),
+                              indices=index, axis=1)[0]
+        assert got.T.tobytes() == want.tobytes()
 
 
 def _op_methods(cls):

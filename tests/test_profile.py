@@ -26,7 +26,7 @@ from repro.nn.ops import OPS as FLOP_FORMULAS
 from repro.nn.ops import flops_for
 from repro.experiments import run_experiment
 from repro.nn import hooks
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, TokenLayout
 from repro.nn.layers import Linear
 from repro.nn.tensor import Tensor
 from repro.obs.profile import (OpProfiler, OpStat, active_profiler,
@@ -91,9 +91,9 @@ class TestOpProfiler:
         # (4*B*T^2*D): the canonical attention FLOP budget.
         batch, steps, dim, heads = 2, 4, 8, 2
         mha = MultiHeadSelfAttention(dim, heads, np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(1).normal(size=(batch, steps, dim)))
+        x = Tensor(np.random.default_rng(1).normal(size=(batch * steps, dim)))
         with OpProfiler() as profiler:
-            mha(x)
+            mha(x, TokenLayout.dense(batch, steps))
         fwd = profiler.by_op()["matmul"]["forward"]
         expected = (8 * batch * steps * dim * dim
                     + 4 * batch * steps * steps * dim)
