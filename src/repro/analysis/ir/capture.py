@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ...nn.hooks import Observer, register_observer
-from ...nn.tensor import DEFAULT_DTYPE, OpCall, Tensor
+from ...nn.tensor import OpCall, Tensor, get_default_dtype
 from ...obs.attribution import ModulePathTracker
 from .graph import IRGraph, IRNode
 
@@ -342,7 +342,7 @@ class IRCapture(Observer):
             source_data=source_data,
             grads_before=dict(self._grads_before),
             grads_after=grads_after,
-            seed_grad=np.array(grad, dtype=DEFAULT_DTYPE, copy=True),
+            seed_grad=np.array(grad, dtype=get_default_dtype(), copy=True),
             clean=clean,
             step_index=self._backward_count,
             params=self._param_group(signature),

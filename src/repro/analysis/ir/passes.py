@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ...nn.ops import OPS
-from ...nn.tensor import DEFAULT_DTYPE
+from ...nn.tensor import get_default_dtype
 from ..findings import Finding, count_findings, filter_findings, \
     format_findings_text, gate_findings
 from .capture import StepCapture
@@ -458,7 +458,7 @@ def _pass_redundant_recompute(capture: StepCapture,
 # ---------------------------------------------------------------------- #
 def _pass_dtype_escapes(capture: StepCapture,
                         limit: int = 10) -> List[Finding]:
-    default = np.dtype(DEFAULT_DTYPE).name
+    default = get_default_dtype().name
     findings = []
     for node in capture.graph.op_nodes():
         if len(findings) >= limit:

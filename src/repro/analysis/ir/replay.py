@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ...nn.tensor import DEFAULT_DTYPE
+from ...nn.tensor import get_default_dtype
 from .capture import StepCapture
 from .graph import IRGraph
 
@@ -177,7 +177,7 @@ def replay(capture: StepCapture, max_mismatches: int = 10) -> ReplayResult:
             before = capture.grads_before.get(uid)
             if before is None:
                 leaf_final[uid] = np.array(
-                    node_grad, dtype=DEFAULT_DTYPE, copy=True)
+                    node_grad, dtype=get_default_dtype(), copy=True)
             else:
                 acc = before.copy()
                 acc += node_grad

@@ -379,32 +379,34 @@ class ParamUnderNoGrad(Rule):
 # ---------------------------------------------------------------------- #
 @rule
 class Float64InForward(Rule):
-    """Hot-path dtype must stay centrally configurable.
+    """Hot-path arrays must follow the engine dtype.
 
-    ``forward`` runs per batch; a hard-coded ``np.float64`` cast there
-    both allocates a copy on every call and pins the hot path to one
-    dtype, defeating any future float32/mixed-precision backend.  Use
-    ``repro.nn.DEFAULT_DTYPE`` (or hoist the cast to ``__init__``).
+    The engine computes in float32 (``repro.nn.DEFAULT_DTYPE``).
+    ``forward`` runs per batch; a hard-coded ``np.float64`` array there
+    costs a full-size cast on every call, once when it is made and once
+    more when ``Tensor`` rounds it back, and it ignores the tests'
+    float64 window.  Follow the operand's dtype (``x.dtype``), read
+    ``repro.nn.get_default_dtype()``, or hoist the cast to ``__init__``.
     """
 
     id = "R005"
     name = "float64-in-forward"
     severity = "warning"
-    doc = ("hard-coded float64 literal inside a forward method; use "
-           "repro.nn.DEFAULT_DTYPE so the hot-path dtype stays "
-           "centrally configurable")
+    doc = ("hard-coded float64 literal inside a forward method; follow "
+           "the operand's dtype or repro.nn.get_default_dtype() so the "
+           "hot path stays in the engine dtype")
 
     def check(self, tree: ast.Module):
         for fn in _functions_named(tree, "forward"):
             for node in ast.walk(fn):
                 if isinstance(node, ast.Attribute) \
                         and node.attr == "float64":
-                    yield (node, "np.float64 hard-coded in forward; use "
-                                 "repro.nn.DEFAULT_DTYPE")
+                    yield (node, "np.float64 hard-coded in forward; follow "
+                                 "the operand's dtype")
                 elif isinstance(node, ast.Constant) \
                         and node.value == "float64":
                     yield (node, "'float64' dtype string hard-coded in "
-                                 "forward; use repro.nn.DEFAULT_DTYPE")
+                                 "forward; follow the operand's dtype")
 
 
 # ---------------------------------------------------------------------- #

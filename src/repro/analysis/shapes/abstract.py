@@ -13,8 +13,8 @@ actual numpy operation on 0-d operands, so promotion semantics are exact
 by construction.  While a :class:`SymbolicTrace` is active, suspicious
 but legal events are recorded on it: a size-1 axis silently stretched
 against a broadcast-guarded dim (lost ``keepdims`` bugs) and floating
-results that deviate from ``nn.DEFAULT_DTYPE``.  Hard shape violations
-raise :class:`AbstractShapeError`.
+results that deviate from the engine dtype (``nn.get_default_dtype()``).
+Hard shape violations raise :class:`AbstractShapeError`.
 
 The class adds no op methods: it overrides the one ``Tensor._apply``
 every op goes through and runs the op's shape rule from the registry
@@ -31,7 +31,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ...nn.tensor import DEFAULT_DTYPE, Tensor, is_grad_enabled
+from ...nn.tensor import Tensor, get_default_dtype, is_grad_enabled
 from .dims import Dim, DimExpr, ShapeEnv, as_expr, contains_guarded
 
 __all__ = [
@@ -158,11 +158,14 @@ def broadcast_sym(a_sym: tuple, b_sym: tuple, op: str) -> tuple:
 
 def _note_dtype(op: str, dtype: np.dtype) -> None:
     trace = _CURRENT
-    if trace is not None and dtype.kind in "fc" and dtype != DEFAULT_DTYPE:
+    if trace is None or dtype.kind not in "fc":
+        return
+    engine = get_default_dtype()
+    if dtype != engine:
         trace.record(
             "dtype", op,
-            f"op '{op}' produced {dtype} — deviates from DEFAULT_DTYPE "
-            f"({np.dtype(DEFAULT_DTYPE)})",
+            f"op '{op}' produced {dtype} — deviates from the engine "
+            f"dtype ({engine})",
         )
 
 
@@ -173,8 +176,9 @@ class Operand(NamedTuple):
     """One operand as a shape rule sees it."""
 
     shape: tuple
-    #: A 0-d array of the operand's dtype, or the raw Python scalar (so
-    #: numpy's weak scalar promotion applies when a rule probes dtypes).
+    #: A 0-d array of the operand's dtype, lifted the way the eager
+    #: ``Tensor._apply`` lifts it, so a rule's probe promotes exactly as
+    #: the eager forward does.
     probe: object
     requires_grad: bool
 
@@ -190,9 +194,7 @@ class Operand(NamedTuple):
         if isinstance(value, Tensor):
             return cls(_resym(value.shape), np.ones((), value.data.dtype),
                        value.requires_grad)
-        if isinstance(value, (bool, int, float, complex)):
-            return cls((), value, False)
-        arr = np.asarray(value)
+        arr = Tensor(value).data
         return cls(_resym(arr.shape), np.ones((), arr.dtype), False)
 
 
@@ -254,14 +256,17 @@ class AbstractTensor(Tensor):
 
     __slots__ = ("sym",)
 
-    def __init__(self, shape: Sequence, dtype=DEFAULT_DTYPE,
+    def __init__(self, shape: Sequence, dtype=None,
                  requires_grad: bool = False):
         sym = tuple(shape)
         witness = tuple(int(e) for e in sym)
         if any(w < 0 for w in witness):
             raise ValueError(f"negative dimension in {_fmt_shape(sym)}")
-        # Bypass Tensor.__init__: it would copy and force DEFAULT_DTYPE,
-        # destroying both the zero-memory witness and dtype tracking.
+        # Bypass Tensor.__init__: it would copy and force the engine
+        # dtype, destroying both the zero-memory witness and dtype
+        # tracking.
+        if dtype is None:
+            dtype = get_default_dtype()
         self.data = np.broadcast_to(np.zeros((), dtype=np.dtype(dtype)),
                                     witness)
         self.grad = None

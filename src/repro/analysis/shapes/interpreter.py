@@ -56,7 +56,7 @@ _KIND_CODES: Dict[str, tuple] = {
 S_CODES: Dict[str, str] = {
     "S001": "shape-mismatch: op or output shape violates the contract",
     "S002": "silent-broadcast: size-1 axis silently stretched to batch",
-    "S003": "dtype-deviation: float result deviates from DEFAULT_DTYPE",
+    "S003": "dtype-deviation: float result deviates from the engine dtype",
     "S004": "grad-drop: loss lost requires_grad; backward is a no-op",
     "S005": "spec-violation: @shape_spec template mismatch at a module call",
     "S006": "probe-error: the probe crashed before checks completed",

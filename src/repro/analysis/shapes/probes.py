@@ -27,7 +27,6 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ...nn.tensor import DEFAULT_DTYPE
 from .abstract import AbstractTensor, current_trace, lift_tensor
 from .dims import ShapeEnv
 
@@ -63,7 +62,7 @@ class ProbeContext:
 
     # ---------------- inputs ------------------------------------------ #
     def input(self, *sym, requires_grad: bool = False,
-              dtype=DEFAULT_DTYPE) -> AbstractTensor:
+              dtype=None) -> AbstractTensor:
         return AbstractTensor(sym, dtype, requires_grad=requires_grad)
 
     def ids(self, *sym, high: int) -> np.ndarray:

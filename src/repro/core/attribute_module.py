@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..nn import DEFAULT_DTYPE, Linear, Module, Tensor, concatenate, no_grad
+from ..nn import Linear, Module, Tensor, concatenate, get_default_dtype, \
+    no_grad
 from ..text.bert import BertForMaskedLM, MiniBert, SequenceEncoder
 from ..text.lsa import CorpusStats, corpus_stats
 from ..text.pretrain import PretrainConfig, pretrain_mlm
@@ -50,10 +51,11 @@ class AttributeEmbeddingModule(Module):
         self.head = Linear(in_dim, embed_dim, rng)
         self.embed_dim = embed_dim
 
-    def _pool_weights(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        weights = mask.astype(np.float64)
+    def _pool_weights(self, ids: np.ndarray, mask: np.ndarray,
+                      dtype) -> np.ndarray:
+        weights = mask.astype(dtype)
         if self.idf is not None:
-            weights = weights * self.idf[ids]
+            weights *= self.idf[ids]
         weights /= np.maximum(weights.sum(axis=1, keepdims=True), 1e-12)
         return weights
 
@@ -64,7 +66,7 @@ class AttributeEmbeddingModule(Module):
         if self.pooling == "cls":
             pooled = cls
         else:
-            weights = self._pool_weights(ids, mask)
+            weights = self._pool_weights(ids, mask, hidden.dtype)
             mean = (hidden * Tensor(weights[:, :, None])).sum(axis=1)
             pooled = mean if self.pooling == "mean" else concatenate(
                 [cls, mean], axis=-1
@@ -84,7 +86,7 @@ def encode_all(module: AttributeEmbeddingModule, encoder: SequenceEncoder,
     was_training = module.training
     module.eval()
     order = np.argsort(encoder.lengths, kind="stable")
-    out = np.empty((len(encoder), module.embed_dim), dtype=DEFAULT_DTYPE)
+    out = np.empty((len(encoder), module.embed_dim), dtype=get_default_dtype())
     with no_grad():
         for start in range(0, len(order), batch_size):
             rows = order[start:start + batch_size]

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..kg.graph import KnowledgeGraph
-from ..nn import DEFAULT_DTYPE, BiGRU, GlobalAttentionPooling, Module, Tensor
+from ..nn import BiGRU, GlobalAttentionPooling, Module, Tensor
 
 
 class NeighborIndex:
@@ -129,7 +129,7 @@ class RelationEmbeddingModule(Module):
             last = states[np.arange(batch), lengths - 1, :]
             return self.pooling(states, last, mask,
                                 return_weights=return_weights)
-        weights = mask.astype(DEFAULT_DTYPE)
+        weights = mask.astype(states.dtype)
         if self.aggregator == "mean":
             weights /= np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
             pooled = (states * Tensor(weights[:, :, None])).sum(axis=1)

@@ -18,6 +18,8 @@ from .tensor import (
     DEFAULT_DTYPE,
     Tensor,
     concatenate,
+    default_dtype,
+    get_default_dtype,
     no_grad,
     ones,
     stack,
@@ -29,7 +31,7 @@ from .transformer import TransformerEncoder, TransformerEncoderLayer
 __all__ = [
     "functional", "kernels",
     "Tensor", "no_grad", "concatenate", "stack", "where", "zeros", "ones",
-    "DEFAULT_DTYPE",
+    "DEFAULT_DTYPE", "default_dtype", "get_default_dtype",
     "Module", "ModuleList", "Parameter",
     "Linear", "Embedding", "LayerNorm", "Dropout", "MLP",
     "MultiHeadSelfAttention", "GlobalAttentionPooling", "TokenLayout",

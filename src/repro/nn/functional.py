@@ -103,7 +103,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     if not training or p <= 0.0:
         return x
     keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
     return x * Tensor(mask)
 
 

@@ -57,7 +57,7 @@ class Observer:
 
     def backward_started(self, root, grad) -> None:
         """``root.backward()`` is about to walk the graph from the seed
-        ``grad`` (already a ``DEFAULT_DTYPE`` array)."""
+        ``grad`` (already an array of the engine dtype)."""
 
     def backward_finished(self, root, grad) -> None:
         """The walk started by ``backward_started`` returned."""

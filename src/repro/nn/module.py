@@ -114,7 +114,7 @@ class Module:
                 f"unexpected={sorted(unexpected)}"
             )
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name], dtype=param.dtype)
             if value.shape != param.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "

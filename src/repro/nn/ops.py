@@ -50,10 +50,14 @@ import numpy as np
 
 __all__ = ["DEFAULT_DTYPE", "Op", "OPS", "defop", "flops_for"]
 
-#: Canonical floating dtype of the engine.  Hot-path code must reference
-#: this constant instead of hard-coding ``np.float64`` (lint rule R005),
-#: so a future float32/mixed-precision backend is a one-line switch.
-DEFAULT_DTYPE = np.float64
+#: The engine's one floating dtype, PyTorch's default.  Parameters,
+#: activations, gradients, optimizer slots and checkpoints are all
+#: float32; against float64 it cut end-to-end run time by 27-43% with
+#: Hits@1 within 2% (docs/performance.md).  Code follows its operands'
+#: dtype or reads ``repro.nn.get_default_dtype()`` (which the tests'
+#: float64 window changes), never a hard-coded ``np.float64`` (lint
+#: rule R005).
+DEFAULT_DTYPE = np.float32
 
 Shape = Tuple[int, ...]
 
@@ -404,11 +408,11 @@ def _mean_vjp(g, out, saved, a, axis, keepdims):
 def _max_vjp(g, out, saved, a, axis, keepdims):
     # Gradient flows to (all) argmax positions.
     if axis is None:
-        mask = (a == out).astype(DEFAULT_DTYPE)
+        mask = (a == out).astype(g.dtype)
         return (mask * g / mask.sum(),)
     out_e = out if keepdims else np.expand_dims(out, axis)
     g_e = g if keepdims else np.expand_dims(g, axis)
-    mask = (a == out_e).astype(DEFAULT_DTYPE)
+    mask = (a == out_e).astype(g.dtype)
     mask /= mask.sum(axis=axis, keepdims=True)
     return (mask * g_e,)
 
@@ -495,14 +499,14 @@ def _getitem_vjp(g, out, saved, a, index):
 
 
 def _take_vjp(g, out, saved, a, indices, axis):
-    # The gradient scatters with accumulation.
+    # The gradient scatters with accumulation.  ``g`` holds the index's
+    # axes where ``a`` held ``axis``; move both to the front, where a
+    # gather along axis 0 puts them.
     full = np.zeros_like(a)
-    if axis == 0:
-        _scatter_add(full, indices, g)
-    else:
-        moved_full = np.moveaxis(full, axis, 0)
-        moved_g = np.moveaxis(g, axis, 0)
-        _scatter_add(moved_full, indices, moved_g)
+    axis %= a.ndim
+    index_axes = range(axis, axis + np.ndim(indices))
+    _scatter_add(np.moveaxis(full, axis, 0), indices,
+                 np.moveaxis(g, index_axes, range(len(index_axes))))
     return (full,)
 
 

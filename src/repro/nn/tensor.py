@@ -30,9 +30,11 @@ from .ops import DEFAULT_DTYPE, Op, _unbroadcast  # noqa: F401 (re-export)
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-# Gradient recording is per-thread, so a no_grad() window on one thread
-# cannot disable autograd for a training step running on another.
-_grad_state = threading.local()
+# Gradient recording and the floating dtype are per-thread, so a
+# no_grad() or default_dtype() window on one thread cannot change a
+# training step running on another.
+_state = threading.local()
+_ENGINE_DTYPE = np.dtype(DEFAULT_DTYPE)
 
 
 class no_grad:
@@ -48,17 +50,50 @@ class no_grad:
     """
 
     def __enter__(self) -> "no_grad":
-        self._prev = getattr(_grad_state, "enabled", True)
-        _grad_state.enabled = False
+        self._prev = getattr(_state, "enabled", True)
+        _state.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        _grad_state.enabled = self._prev
+        _state.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradient information."""
-    return getattr(_grad_state, "enabled", True)
+    return getattr(_state, "enabled", True)
+
+
+class default_dtype:
+    """Context manager that sets the floating dtype of new tensors.
+
+    The engine computes in :data:`DEFAULT_DTYPE` (float32).  Inside the
+    window, tensors, their gradients and the backward seed take
+    ``dtype`` instead::
+
+        with default_dtype(np.float64):
+            check_gradients(...)
+
+    float64 is the tests' reference precision: a central difference at
+    ``eps=1e-6`` has about 1e-2 relative error in float32.  Nothing
+    under ``src/`` enters the window.  Like :class:`no_grad`, it is
+    thread-local.
+    """
+
+    def __init__(self, dtype):
+        self._dtype = np.dtype(dtype)
+
+    def __enter__(self) -> "default_dtype":
+        self._prev = get_default_dtype()
+        _state.dtype = self._dtype
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _state.dtype = self._prev
+
+
+def get_default_dtype() -> np.dtype:
+    """Return the floating dtype new tensors take on this thread."""
+    return getattr(_state, "dtype", _ENGINE_DTYPE)
 
 
 class Tensor:
@@ -67,8 +102,12 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything convertible to a numpy array.  Floating point data is
-        stored as ``float64`` for numerical robustness on CPU.
+        Anything convertible to a numpy array.  Floating point data and
+        Python ``int`` scalars are stored in the engine dtype
+        (:func:`get_default_dtype`, float32 unless a
+        :class:`default_dtype` window says otherwise), so an op never
+        promotes against a lifted constant; other integer and boolean
+        arrays keep their dtype.
     requires_grad:
         Whether gradients should be accumulated into ``.grad`` for this
         tensor during :meth:`backward`.
@@ -86,8 +125,8 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if arr.dtype.kind in "fc":
-            arr = arr.astype(DEFAULT_DTYPE, copy=False)
+        if arr.dtype.kind in "fc" or type(data) is int:
+            arr = arr.astype(get_default_dtype(), copy=False)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
@@ -167,7 +206,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
+            self.grad = np.array(grad, dtype=get_default_dtype(), copy=True)
         else:
             self.grad += grad  # repro: noqa[R001] engine leaf accumulation
 
@@ -187,7 +226,7 @@ class Tensor:
                     f"scalar tensor, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
+        grad = np.asarray(grad, dtype=get_default_dtype())
         observers = _hooks.observers
         for observer in observers:
             observer.backward_started(self, grad)
@@ -406,7 +445,7 @@ def _record(op: Op, attrs: dict, saved, data, inputs: tuple) -> Tensor:
     """Wrap an op's output and, when gradients flow, attach its node."""
     out = Tensor(data)
     track = False
-    if getattr(_grad_state, "enabled", True):
+    if getattr(_state, "enabled", True):
         for t in inputs:
             if t.requires_grad:
                 track = True

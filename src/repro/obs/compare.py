@@ -307,6 +307,12 @@ def diff_records(path_a, path_b) -> RunDiff:
             f"BLAS configuration differs: {blas_a} vs {blas_b}; float "
             f"results may differ in the last bits with no code change"
         )
+    dtype_a, dtype_b = a.version.get("dtype"), b.version.get("dtype")
+    if dtype_a and dtype_b and dtype_a != dtype_b:
+        warnings.append(
+            f"engine dtype differs: {dtype_a} vs {dtype_b}; losses and "
+            f"metrics differ with no code change"
+        )
 
     keys = [k for k in _RESULT_KEYS
             if k in a.results or k in b.results]

@@ -45,9 +45,13 @@ def version_stamp(repo_root: Optional[Path] = None) -> Dict[str, object]:
     ``blas`` (library and version) and ``blas_threads`` name the BLAS
     configuration: OpenBLAS splits large GEMMs differently by thread
     count, so the same seed can give results that differ in the last
-    bits on another configuration.
+    bits on another configuration.  ``dtype`` names the engine's
+    floating dtype, which moves every result the same way.
     """
-    stamp: Dict[str, object] = {"python": platform.python_version()}
+    from ..nn.tensor import get_default_dtype
+
+    stamp: Dict[str, object] = {"python": platform.python_version(),
+                                "dtype": get_default_dtype().name}
     try:
         from .. import __version__
         stamp["repro"] = __version__

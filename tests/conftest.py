@@ -5,9 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import SDEAConfig
 from repro.datasets import ViewConfig, WorldConfig, generate_pair
 from repro.datasets.translation import Language
+
+
+@pytest.fixture()
+def float64():
+    """Run the test with float64 tensors, the reference precision.
+
+    The engine computes in float32.  Tests whose oracle is a float64
+    array, a closed form checked to 1e-7 or tighter, or a central
+    difference (about 1e-2 relative error at ``eps=1e-6`` in float32)
+    use this fixture, as PyTorch's ``gradcheck`` requires double
+    precision.
+    """
+    with nn.default_dtype(np.float64):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ class TestTokenLayout:
         np.testing.assert_array_equal(layout.slots,
                                       [[0, 1, 6], [2, 7, 8], [3, 4, 5]])
 
+    @pytest.mark.usefixtures("float64")
     def test_pad_unpad_round_trip(self):
         layout = TokenLayout(self.MASK)
         rows = np.random.default_rng(0).normal(size=(6, 4))
@@ -29,6 +30,7 @@ class TestTokenLayout:
         np.testing.assert_array_equal(grid.data[~self.MASK], 0.0)
         np.testing.assert_array_equal(layout.unpad(grid).data, rows)
 
+    @pytest.mark.usefixtures("float64")
     def test_pad_gradient_reaches_real_rows_only(self):
         layout = TokenLayout(self.MASK)
         rows = Tensor(np.ones((6, 4)), requires_grad=True)
@@ -74,6 +76,7 @@ class TestMultiHeadSelfAttention:
         attn(x, TokenLayout.dense(2, 3)).sum().backward()
         assert np.abs(x.grad).sum() > 0
 
+    @pytest.mark.usefixtures("float64")
     def test_permutation_equivariance_without_positions(self, rng):
         """Self-attention itself is permutation-equivariant."""
         attn = MultiHeadSelfAttention(8, 2, rng)
@@ -93,6 +96,7 @@ class TestGlobalAttentionPooling:
         out = pool(states, last)
         assert out.shape == (2, 6)
 
+    @pytest.mark.usefixtures("float64")
     def test_weights_sum_to_one_over_valid(self, rng):
         pool = GlobalAttentionPooling(6, rng)
         states = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6)))

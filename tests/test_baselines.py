@@ -67,6 +67,7 @@ class TestTransEFamily:
         with pytest.raises(RuntimeError):
             TransEAligner().embeddings(1)
 
+    @pytest.mark.usefixtures("float64")
     def test_entity_norms_bounded(self, tiny_pair, tiny_split):
         aligner = JAPEStru(TransEConfig(dim=16, epochs=3))
         aligner.fit(tiny_pair, tiny_split)

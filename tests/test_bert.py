@@ -101,6 +101,7 @@ class TestPackedEncoder:
                                                 size=self.MASK.shape)
         return ids, self.MASK
 
+    @pytest.mark.usefixtures("float64")
     def test_states_equal_rows_encoded_alone(self, config, rng, batch):
         bert = MiniBert(config, rng)
         bert.eval()
@@ -122,6 +123,7 @@ class TestPackedEncoder:
         np.testing.assert_array_equal(bert(ids, mask).data,
                                       bert(other, mask).data)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients_are_the_sum_of_rows_alone(self, config, rng, batch):
         bert = MiniBert(config, rng)
         ids, mask = batch

@@ -232,6 +232,23 @@ class TestDiff:
             assert not any("BLAS" in w
                            for w in diff_records(a, other).warnings)
 
+    def test_engine_dtype_mismatch_warns(self, tmp_path, utc):
+        a = make_record(tmp_path, 1700000000.0, version={"dtype": "float32"})
+        b = make_record(tmp_path, 1700003600.0, version={"dtype": "float64"})
+        same = make_record(tmp_path, 1700007200.0,
+                           version={"dtype": "float32"})
+        unstamped = make_record(tmp_path, 1700010800.0)
+        diff = diff_records(a, b)
+        dtype = [w for w in diff.warnings if "dtype" in w]
+        assert dtype == ["engine dtype differs: float32 vs float64; losses "
+                         "and metrics differ with no code change"]
+        assert "engine dtype differs" in format_diff_text(diff)
+        for other in (same, unstamped):
+            assert not any("dtype" in w
+                           for w in diff_records(a, other).warnings)
+            assert not any("dtype" in w
+                           for w in diff_records(other, a).warnings)
+
     def test_json_reporter_is_machine_readable(self, tmp_path, utc):
         a, b = self.two_seeded(tmp_path)
         payload = json.loads(format_diff_json(diff_records(a, b)))

@@ -122,6 +122,7 @@ class TestRelationModule:
                                    rtol=1e-9)
         np.testing.assert_allclose(alpha.data[0, 2:], np.zeros(2), atol=1e-15)
 
+    @pytest.mark.usefixtures("float64")
     def test_gather_neighbor_embeddings_constant(self, rng):
         attrs = rng.normal(size=(5, 3))
         ids = np.array([[0, 1], [2, 2]])

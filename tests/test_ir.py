@@ -272,7 +272,7 @@ class TestPasses:
 
         def step():
             a.grad = None
-            out = a._make_child((a.data * 2.0).astype(np.float32), (a,),
+            out = a._make_child((a.data * 2.0).astype(np.float64), (a,),
                                 lambda grad: (grad * 2.0,))
             out.sum().backward()
 

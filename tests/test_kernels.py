@@ -181,6 +181,7 @@ class TestExactModeBitwise:
 class TestFiniteDifferences:
     """Anchor the fused backward to the math, not just to the engine."""
 
+    @pytest.mark.usefixtures("float64")
     def test_gru_sequence_input_gradient(self, rng):
         gru = GRU(3, 4, rng)
         x0 = rng.normal(size=(2, 5, 3))
@@ -206,6 +207,7 @@ class TestFiniteDifferences:
             numeric = (plus - minus) / (2 * eps)
             assert x.grad[index] == pytest.approx(numeric, abs=1e-5)
 
+    @pytest.mark.usefixtures("float64")
     def test_softmax_gradient(self, rng):
         x0 = rng.normal(size=(3, 5))
 

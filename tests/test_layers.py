@@ -61,6 +61,7 @@ class TestEmbedding:
 
 
 class TestLayerNorm:
+    @pytest.mark.usefixtures("float64")
     def test_output_standardized(self, rng):
         layer = LayerNorm(8)
         x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(4, 8)))
@@ -68,6 +69,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-9)
         np.testing.assert_allclose(out.std(axis=-1), np.ones(4), atol=1e-3)
 
+    @pytest.mark.usefixtures("float64")
     def test_gamma_beta_applied(self, rng):
         layer = LayerNorm(4)
         layer.gamma.data[...] = 2.0  # repro: noqa[R001] pre-forward weight forcing

@@ -30,9 +30,9 @@ class TestTensorConstruction:
         t = Tensor(np.array([1, 2, 3]))
         assert t.dtype.kind == "i"
 
-    def test_float32_upcast_to_float64(self):
-        t = Tensor(np.array([1.0], dtype=np.float32))
-        assert t.dtype == np.float64
+    def test_float64_input_rounds_to_float32(self):
+        t = Tensor(np.array([1.0], dtype=np.float64))
+        assert t.dtype == np.float32
 
     def test_repr_mentions_requires_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))

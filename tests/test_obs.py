@@ -384,6 +384,12 @@ class TestRunRecord:
         monkeypatch.delenv("OMP_NUM_THREADS")
         assert version_stamp()["blas_threads"] == len(os.sched_getaffinity(0))
 
+    def test_version_stamp_names_engine_dtype(self):
+        from repro.nn import default_dtype
+        assert version_stamp()["dtype"] == "float32"
+        with default_dtype(np.float64):
+            assert version_stamp()["dtype"] == "float64"
+
     def test_v2_records_without_shards_still_load(self):
         data = self._record().to_dict()
         data["schema_version"] = 2

@@ -168,10 +168,10 @@ def test_vjp_reads_only_what_it_declares(name, case):
     grad = np.random.default_rng(11).normal(size=out.data.shape)
 
     want = op.vjp(grad.copy(), call.out, call.saved, *inputs, **call.attrs)
-    blanked = [x if i in op.reads else np.full(x.shape, np.nan)
+    blanked = [x if i in op.reads else np.full(x.shape, np.nan, x.dtype)
                for i, x in enumerate(inputs)]
     blanked_out = call.out if "out" in op.reads \
-        else np.full(np.shape(call.out), np.nan)
+        else np.full(np.shape(call.out), np.nan, np.asarray(call.out).dtype)
     got = op.vjp(grad.copy(), blanked_out, call.saved, *blanked,
                  **call.attrs)
     assert len(got) == len(want)
@@ -217,3 +217,22 @@ def test_ndarray_matmul_is_rejected_on_both_surfaces():
     for operand in (Tensor(np.ones((3, 4))), AbstractTensor((3, 4))):
         with pytest.raises(TypeError):
             np.ones((2, 3)) @ operand
+
+
+@pytest.mark.parametrize("shape,index,axis", [
+    ((3, 5), np.array([[0, 1], [2, 2]]), 1),        # a repeated column
+    ((3, 5), np.array([[4, 1], [0, 3]]), -1),       # unique, negative axis
+    ((2, 4, 3), np.array([[[1, 1]], [[0, 3]]]), 1),  # 3-d index, middle axis
+    ((4, 2), np.array(2), 0),                       # 0-d index drops the axis
+])
+def test_take_gradient_along_any_axis_equals_add_at(shape, index, axis):
+    """A ``take`` with an index of any rank, along any axis, scatters its
+    gradient as ``np.add.at`` does with the index at that axis."""
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = a.take(index, axis=axis)
+    grad = rng.normal(size=out.shape).astype(out.dtype)
+    out.backward(grad)
+    want = np.zeros_like(a.data)
+    np.add.at(want, (slice(None),) * (axis % len(shape)) + (index,), grad)
+    assert a.grad.tobytes() == want.tobytes()

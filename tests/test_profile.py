@@ -23,7 +23,7 @@ import pytest
 
 from repro import obs
 from repro.nn.ops import OPS as FLOP_FORMULAS
-from repro.nn.ops import flops_for
+from repro.nn.ops import DEFAULT_DTYPE, flops_for
 from repro.experiments import run_experiment
 from repro.nn import hooks
 from repro.nn.attention import MultiHeadSelfAttention, TokenLayout
@@ -31,6 +31,9 @@ from repro.nn.layers import Linear
 from repro.nn.tensor import Tensor
 from repro.obs.profile import (OpProfiler, OpStat, active_profiler,
                                format_op_table, format_summary_json)
+
+#: Bytes per element of a tensor in the engine dtype.
+ITEMSIZE = np.dtype(DEFAULT_DTYPE).itemsize
 
 
 class TestFlopModel:
@@ -71,7 +74,7 @@ class TestOpProfiler:
         fwd = profiler.by_op()["matmul"]["forward"]
         assert fwd.calls == 1
         assert fwd.flops == 2 * 3 * 5 * 4
-        assert fwd.out_bytes == 3 * 5 * 8  # float64 output
+        assert fwd.out_bytes == 3 * 5 * ITEMSIZE  # one engine-dtype output
 
     def test_backward_split_and_2x_estimate(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
@@ -183,7 +186,7 @@ class TestMemoryTracking:
         snapshot = sess.registry.snapshot()
         assert "profile.peak_tensor_bytes" in snapshot
         series = snapshot["profile.peak_tensor_bytes"]["series"]
-        assert series and series[0]["value"] >= 64 * 64 * 8
+        assert series and series[0]["value"] >= 64 * 64 * ITEMSIZE
 
     def test_no_growth_across_repeated_graphs(self):
         with OpProfiler() as profiler:

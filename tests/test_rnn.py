@@ -12,6 +12,7 @@ class TestGRUCell:
         h = cell(Tensor(np.ones((3, 4))), Tensor(np.zeros((3, 6))))
         assert h.shape == (3, 6)
 
+    @pytest.mark.usefixtures("float64")
     def test_matches_manual_equations(self, rng):
         """One step must satisfy Eq. 8–11 exactly."""
         cell = GRUCell(2, 3, rng)

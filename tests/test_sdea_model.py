@@ -99,6 +99,7 @@ class TestPreparedEncoder:
         emb = encode_all(prepared.module, prepared.encoder1)
         assert emb.shape == (3, tiny_sdea_config.embed_dim)
 
+    @pytest.mark.usefixtures("float64")
     def test_encode_all_matches_padded_entity_order_reference(
             self, tiny_pair, tiny_sdea_config):
         """Length-sorted, trimmed blocks == padded blocks in entity order."""

@@ -1,8 +1,14 @@
 """Checkpointing: npz save/load and best-checkpoint tracking."""
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.nn import BestCheckpoint, Linear, load_state, save_state
+
+#: ``save_state(Linear(4, 3, np.random.default_rng(0)), ...)`` written by
+#: the float64 engine, before float32 became the engine dtype.
+FLOAT64_CHECKPOINT = Path(__file__).parent / "data" / "linear_4x3_float64.npz"
 
 
 class TestSaveLoad:
@@ -15,6 +21,19 @@ class TestSaveLoad:
         load_state(other, path)
         np.testing.assert_array_equal(other.weight.data, model.weight.data)
         np.testing.assert_array_equal(other.bias.data, model.bias.data)
+
+    def test_float64_checkpoint_loads_into_float32_parameters(self):
+        with np.load(FLOAT64_CHECKPOINT) as archive:
+            saved = {k: archive[k] for k in archive.files}
+        assert {a.dtype for a in saved.values()} == {np.dtype(np.float64)}
+        model = Linear(4, 3, np.random.default_rng(1))
+        weight = model.weight.data
+        load_state(model, FLOAT64_CHECKPOINT)
+        assert model.weight.data is weight      # restored in place
+        for name, param in model.named_parameters():
+            assert param.dtype == np.float32
+            np.testing.assert_array_equal(
+                param.data, saved[name].astype(np.float32))
 
     def test_creates_parent_directories(self, rng, tmp_path):
         model = Linear(2, 2, rng)

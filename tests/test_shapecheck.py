@@ -154,7 +154,7 @@ class TestOtherFindings:
 
     def test_dtype_deviation_is_s003_warning(self, monkeypatch):
         def probe_fn(ctx):
-            ctx.input(ctx.B, dtype=np.float32) * 2.0
+            ctx.input(ctx.B, dtype=np.float64) * 2.0
 
         monkeypatch.setitem(PROBES, "fixture-dtype", probe_fn)
         report = check_method_shapes("fixture-dtype")
@@ -191,7 +191,7 @@ class TestOtherFindings:
 def _two_kind_probe(ctx):
     x = ctx.input(ctx.B, ctx.H_a)
     x + x.mean(axis=0, keepdims=True)          # S002 (stretch over B)
-    ctx.input(ctx.B, dtype=np.float32).exp()   # S003 (one off-dtype op)
+    ctx.input(ctx.B, dtype=np.float64).exp()   # S003 (one off-dtype op)
 
 
 class TestFilteringAndReporters:

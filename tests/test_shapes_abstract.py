@@ -13,6 +13,7 @@ from repro.analysis.shapes.abstract import (
     lift_tensor,
 )
 from repro.analysis.shapes.dims import Dim, DimExpr, ShapeEnv, as_expr
+from repro.nn import get_default_dtype, hooks
 from repro.nn.tensor import Tensor, concatenate, no_grad, stack, where
 from repro.nn.tensor import concatenate as abstract_concatenate
 from repro.nn.tensor import _unbroadcast
@@ -33,7 +34,7 @@ class TestElementwise:
         out = x + y
         assert out.shape == (b, h)
         assert out.requires_grad
-        assert out.data.dtype == np.float64
+        assert out.data.dtype == np.float32
 
     def test_broadcast_against_unit_axis(self):
         _, b, h = env_with_batch()
@@ -193,9 +194,33 @@ class TestTraceEvents:
 
     def test_dtype_deviation_is_recorded(self):
         with SymbolicTrace(ShapeEnv()) as trace:
-            AbstractTensor((3,), dtype=np.float32) * 2.0
+            AbstractTensor((3,), dtype=np.float64) * 2.0
         assert [e.kind for e in trace.events] == ["dtype"]
-        assert "float32" in trace.events[0].message
+        assert "float64" in trace.events[0].message
+
+    @pytest.mark.parametrize("constant", [
+        2, 3.0, np.float64(0.5), np.sqrt(8), np.int64(2), np.ones(3),
+        np.arange(3), np.ones(3, dtype=np.float32), True,
+    ])
+    def test_constants_lift_as_eager_does(self, constant):
+        """S003 fires exactly when the eager forward's raw output leaves
+        the engine dtype, whatever the non-tensor operand."""
+        raw = []
+
+        class RawOutput(hooks.Observer):
+            def op_created(self, out, call):
+                raw.append(np.asarray(call.out).dtype)
+
+        handle = hooks.register_observer(RawOutput())
+        try:
+            Tensor(np.ones(3)) * constant
+        finally:
+            handle.remove()
+        raw, = raw
+        with SymbolicTrace(ShapeEnv()) as trace:
+            abstract = AbstractTensor((3,)) * constant
+        assert abstract.data.dtype == raw
+        assert bool(trace.events) == (raw != get_default_dtype())
 
     def test_events_are_deduplicated(self):
         env, b, h = env_with_batch()

@@ -39,12 +39,15 @@ def check_gradients(build, *shapes, seed=0, tol=1e-7):
 
 
 class TestElementwiseOps:
+    @pytest.mark.usefixtures("float64")
     def test_add_gradients(self):
         check_gradients(lambda a, b: (a + b).sum(), (3, 4), (3, 4))
 
+    @pytest.mark.usefixtures("float64")
     def test_add_broadcast_gradients(self):
         check_gradients(lambda a, b: (a + b).sum(), (3, 4), (4,))
 
+    @pytest.mark.usefixtures("float64")
     def test_sub_gradients(self):
         check_gradients(lambda a, b: (a - b).sum(), (2, 3), (2, 3))
 
@@ -54,9 +57,11 @@ class TestElementwiseOps:
         out.sum().backward()
         np.testing.assert_allclose(t.grad, [-1.0, -1.0])
 
+    @pytest.mark.usefixtures("float64")
     def test_mul_gradients(self):
         check_gradients(lambda a, b: (a * b).sum(), (3, 4), (3, 4))
 
+    @pytest.mark.usefixtures("float64")
     def test_mul_broadcast_gradients(self):
         check_gradients(lambda a, b: (a * b).sum(), (2, 3, 4), (3, 4))
 
@@ -69,6 +74,7 @@ class TestElementwiseOps:
         np.testing.assert_allclose(a.grad, 1.0 / b.data, atol=1e-9)
         np.testing.assert_allclose(b.grad, -a.data / b.data**2, atol=1e-9)
 
+    @pytest.mark.usefixtures("float64")
     def test_neg_gradients(self):
         check_gradients(lambda a: (-a).sum(), (4,))
 
@@ -82,6 +88,7 @@ class TestElementwiseOps:
         with pytest.raises(TypeError):
             Tensor([1.0]) ** Tensor([2.0])
 
+    @pytest.mark.usefixtures("float64")
     def test_exp_log_sqrt_tanh_sigmoid_relu_abs(self):
         check_gradients(lambda a: a.exp().sum(), (3,))
         check_gradients(lambda a: (a * a + 1.0).log().sum(), (3,))
@@ -100,15 +107,19 @@ class TestElementwiseOps:
 
 
 class TestMatmul:
+    @pytest.mark.usefixtures("float64")
     def test_2d_gradients(self):
         check_gradients(lambda a, b: (a @ b).sum(), (3, 4), (4, 5))
 
+    @pytest.mark.usefixtures("float64")
     def test_batched_gradients(self):
         check_gradients(lambda a, b: (a @ b).sum(), (2, 3, 4), (2, 4, 5))
 
+    @pytest.mark.usefixtures("float64")
     def test_broadcast_batched_gradients(self):
         check_gradients(lambda a, b: (a @ b).sum(), (2, 3, 4), (4, 5))
 
+    @pytest.mark.usefixtures("float64")
     def test_matrix_vector_gradients(self):
         check_gradients(lambda a, b: (a @ b).sum(), (3, 4), (4,))
 
@@ -121,6 +132,7 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, [3.0, 4.0])
         np.testing.assert_allclose(b.grad, [1.0, 2.0])
 
+    @pytest.mark.usefixtures("float64")
     def test_values_match_numpy(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 6)), rng.normal(size=(6, 2))
@@ -129,9 +141,11 @@ class TestMatmul:
 
 
 class TestShapeOps:
+    @pytest.mark.usefixtures("float64")
     def test_reshape_gradients(self):
         check_gradients(lambda a: (a.reshape(6) * np.arange(6.0)).sum(), (2, 3))
 
+    @pytest.mark.usefixtures("float64")
     def test_transpose_gradients(self):
         check_gradients(
             lambda a: (a.transpose(1, 0) @ np.ones(2)).sum(), (2, 3)
@@ -163,6 +177,7 @@ class TestShapeOps:
 
 
 class TestReductions:
+    @pytest.mark.usefixtures("float64")
     def test_sum_axis_gradients(self):
         check_gradients(lambda a: (a.sum(axis=0) ** 2).sum(), (3, 4))
 
@@ -171,6 +186,7 @@ class TestReductions:
         out = t.sum(axis=1, keepdims=True)
         assert out.shape == (2, 1)
 
+    @pytest.mark.usefixtures("float64")
     def test_mean_gradients(self):
         check_gradients(lambda a: (a.mean(axis=1) ** 2).sum(), (3, 4))
 
@@ -298,11 +314,13 @@ class TestFunctional:
         probs = F.softmax(x, axis=-1)
         np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones(5))
 
+    @pytest.mark.usefixtures("float64")
     def test_softmax_gradients(self):
         check_gradients(
             lambda a: (F.softmax(a, axis=-1) ** 2).sum(), (3, 4)
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(4, 6)))
@@ -327,6 +345,7 @@ class TestFunctional:
                                ignore_index=-100)
         assert loss.item() == 0.0
 
+    @pytest.mark.usefixtures("float64")
     def test_cross_entropy_gradients(self):
         targets = np.array([0, 2, 1])
         check_gradients(
@@ -376,6 +395,7 @@ class TestFunctional:
         out = F.dropout(x, 0.5, rng, training=True)
         assert out.data.mean() == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.usefixtures("float64")
     def test_cosine_similarity_identical_rows(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(3, 5)))

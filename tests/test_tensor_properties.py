@@ -1,6 +1,7 @@
 """Property-based autograd tests (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -29,6 +30,7 @@ def test_add_gradient_is_ones(array):
     np.testing.assert_allclose(t.grad, np.ones_like(array))
 
 
+@pytest.mark.usefixtures("float64")
 @given(small_arrays())
 @settings(max_examples=50, deadline=None)
 def test_mul_gradient_is_other_operand(array):
@@ -50,6 +52,7 @@ def test_sum_then_backward_shape_matches(array):
     assert t.grad.shape == array.shape
 
 
+@pytest.mark.usefixtures("float64")
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                min_side=1, max_side=6),
                   elements=finite_floats))
@@ -61,6 +64,7 @@ def test_softmax_is_probability_distribution(array):
                                np.ones(array.shape[0]), rtol=1e-9)
 
 
+@pytest.mark.usefixtures("float64")
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                min_side=1, max_side=6),
                   elements=finite_floats))
@@ -71,6 +75,7 @@ def test_softmax_shift_invariance(array):
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+@pytest.mark.usefixtures("float64")
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                   elements=st.floats(min_value=-5, max_value=5,
                                      allow_nan=False)))
