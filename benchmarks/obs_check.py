@@ -6,6 +6,9 @@ pipeline held together:
 
 * both runs streamed epoch / eval / run_end events and wrote a run
   record carrying the telemetry digest;
+* each record's ``trainer.epochs{phase="transe"}`` series equals the
+  number of ``epoch`` events in its stream (``telemetry.emit`` derives
+  the one from the other);
 * the Prometheus exposition file exists and parses line-wise;
 * ``diff_records`` between the two seeded runs reports bitwise-zero
   headline metric deltas and an identical loss trajectory;
@@ -89,6 +92,15 @@ def main() -> int:
                              "metrics_snapshot", "stream_end"):
                 if expected not in kinds:
                     fail(f"{stream.name}: no {expected!r} event")
+            streamed = sum(e.get("event") == "epoch" for e in events)
+            derived = sum(
+                entry["value"] for entry in
+                record.metrics.get("trainer.epochs", {}).get("series", [])
+                if entry.get("labels") == {"phase": "transe"})
+            if derived != streamed:
+                fail(f"{record_path.name}: trainer.epochs{{phase=transe}} "
+                     f"is {derived}, but the stream holds {streamed} "
+                     "epoch events")
             prom = record_path.with_suffix(".prom")
             if not prom.exists():
                 fail(f"missing Prometheus exposition {prom.name}")

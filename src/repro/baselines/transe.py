@@ -104,7 +104,6 @@ class TransEAligner(Aligner):
                                        config.dim, rng)
         optimizer = Adam(self._model.parameters(), lr=config.lr)
 
-        stream_live = telemetry.is_active()
         for epoch in range(config.epochs):
             epoch_start = time.perf_counter()
             epoch_loss, epoch_batches = 0.0, 0
@@ -133,17 +132,14 @@ class TransEAligner(Aligner):
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()
-                if stream_live:
-                    epoch_loss += loss.item()
-                    epoch_batches += 1
+                epoch_loss += loss.item()
+                epoch_batches += 1
             self._normalize_entities()
-            if stream_live:
-                telemetry.emit(
-                    "epoch", phase="transe", epoch=epoch,
-                    loss=epoch_loss / max(epoch_batches, 1),
-                    seconds=time.perf_counter() - epoch_start,
-                    lr=optimizer.lr,
-                )
+            telemetry.emit(
+                "epoch", phase="transe", epoch=epoch,
+                loss=epoch_loss / max(epoch_batches, 1),
+                seconds=time.perf_counter() - epoch_start, lr=optimizer.lr,
+            )
 
     def _normalize_entities(self) -> None:
         """TransE constrains entity embeddings to the unit sphere.

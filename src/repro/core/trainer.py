@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..align.evaluator import evaluate_embeddings
 from ..analysis.anomaly import detect_anomaly
 from ..kg.pair import Link
 from ..nn import Adam, BestCheckpoint, Tensor, clip_grad_norm, no_grad
-from ..obs import events, metrics, telemetry, trace
+from ..obs import metrics, telemetry, trace
 from .attribute_module import AttributeEmbeddingModule, SequenceEncoder, encode_all
 from .candidates import gen_candidates, sample_negatives
 from .config import SDEAConfig
@@ -44,8 +44,10 @@ class TrainLog:
 
     ``losses`` / ``valid_hits1`` / ``stopped_epoch`` are the original API;
     ``epoch_seconds`` and ``learning_rates`` record per-epoch wall time and
-    the optimiser's learning rate at the end of each epoch (mirrored into
-    the active metrics registry — see :mod:`repro.obs`).
+    the optimiser's learning rate at the end of each epoch.  Each record
+    call emits one telemetry event, from which the active metrics
+    registry derives its ``trainer.*`` series (see
+    :data:`repro.obs.telemetry.DERIVED`).
     """
 
     losses: List[float] = field(default_factory=list)
@@ -55,31 +57,21 @@ class TrainLog:
     learning_rates: List[float] = field(default_factory=list)
 
     def record_epoch(self, phase: str, epoch: int, loss: float,
-                     seconds: float, lr: float) -> None:
-        """Append one epoch's loss/time/lr and publish them as metrics."""
+                     seconds: float, lr: float,
+                     grad_norm: Optional[float]) -> None:
+        """Append one epoch's loss/time/lr and emit its ``epoch`` event.
+
+        ``grad_norm`` is the epoch's last pre-clipping gradient norm,
+        ``None`` when the epoch ran no batch.
+        """
         self.losses.append(loss)
         self.epoch_seconds.append(seconds)
         self.learning_rates.append(lr)
-        metrics.counter("trainer.epochs").inc(phase=phase)
-        metrics.gauge("trainer.loss").set(loss, phase=phase)
-        metrics.gauge("trainer.lr").set(lr, phase=phase)
-        metrics.histogram("trainer.epoch_seconds").observe(seconds,
-                                                           phase=phase)
-        events.debug("epoch", phase=phase, epoch=epoch, loss=loss,
-                     seconds=seconds, lr=lr)
-        # Live stream (no-op without a telemetry session): the epoch
-        # event is what the health rules and `repro obs watch` consume.
-        fields = {"phase": phase, "epoch": epoch, "loss": loss,
-                  "seconds": seconds, "lr": lr}
-        grad_norm = metrics.gauge("optim.grad_norm").value()
-        if grad_norm is not None:
-            fields["grad_norm"] = grad_norm
-        telemetry.emit("epoch", **fields)
+        telemetry.emit("epoch", phase=phase, epoch=epoch, loss=loss,
+                       seconds=seconds, lr=lr, grad_norm=grad_norm)
 
     def record_validation(self, phase: str, epoch: int, hits1: float) -> None:
         self.valid_hits1.append(hits1)
-        metrics.gauge("trainer.valid_hits1").set(hits1, phase=phase)
-        events.debug("validation", phase=phase, epoch=epoch, hits1=hits1)
         telemetry.emit("validation", phase=phase, epoch=epoch, hits1=hits1)
 
 
@@ -137,6 +129,7 @@ def pretrain_attribute_module(
             module.train()
             order = rng.permutation(len(train_links))
             epoch_losses = []
+            grad_norm = None
             batch_hist = metrics.histogram("trainer.batch_seconds")
             for batch_idx in _batched(order, config.attr_batch_size):
                 batch_start = time.perf_counter()
@@ -154,13 +147,11 @@ def pretrain_attribute_module(
                                                config.margin)
                     optimizer.zero_grad()
                     loss.backward()
-                    clip_grad_norm(module.parameters(), 5.0)
+                    grad_norm = clip_grad_norm(module.parameters(), 5.0)
                     optimizer.step()
                     epoch_losses.append(loss.item())
                 batch_hist.observe(time.perf_counter() - batch_start,
                                    phase="attr")
-                events.every(50, "batch", phase="attr",
-                             loss=epoch_losses[-1])
             # Line 11: validation with early stopping on Hits@1.
             with trace.span("validate"):
                 h1 = encode_all(module, encoder1)
@@ -170,7 +161,7 @@ def pretrain_attribute_module(
             log.record_epoch(
                 "attr", epoch,
                 float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                time.perf_counter() - epoch_start, optimizer.lr,
+                time.perf_counter() - epoch_start, optimizer.lr, grad_norm,
             )
             if valid_links:
                 log.record_validation("attr", epoch, hits1)
@@ -182,8 +173,8 @@ def pretrain_attribute_module(
             bad_rounds += 1
             if bad_rounds >= config.patience:
                 log.stopped_epoch = epoch
-                events.info("early_stop", phase="attr", epoch=epoch,
-                            best_hits1=max(log.valid_hits1))
+                telemetry.emit("early_stop", phase="attr", epoch=epoch,
+                               best_hits1=max(log.valid_hits1))
                 break
 
     # Encoded again even when the last epoch is the best: e2ebench's
@@ -286,6 +277,7 @@ def train_relation_model(
             joint.train()
             order = rng.permutation(len(train_links))
             epoch_losses = []
+            grad_norm = None
             batch_hist = metrics.histogram("trainer.batch_seconds")
             for batch_idx in _batched(order, config.rel_batch_size):
                 batch_start = time.perf_counter()
@@ -297,13 +289,11 @@ def train_relation_model(
                                                config.margin)
                     optimizer.zero_grad()
                     loss.backward()
-                    clip_grad_norm(parameters, 5.0)
+                    grad_norm = clip_grad_norm(parameters, 5.0)
                     optimizer.step()
                     epoch_losses.append(loss.item())
                 batch_hist.observe(time.perf_counter() - batch_start,
                                    phase="rel")
-                events.every(50, "batch", phase="rel",
-                             loss=epoch_losses[-1])
             # Line 12: validate with the full H_ent embeddings.
             with trace.span("validate"):
                 if valid_links:
@@ -318,7 +308,7 @@ def train_relation_model(
             log.record_epoch(
                 "rel", epoch,
                 float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                time.perf_counter() - epoch_start, optimizer.lr,
+                time.perf_counter() - epoch_start, optimizer.lr, grad_norm,
             )
             log.record_validation("rel", epoch, hits1)
         improved = checkpoint_rel.update(hits1)
@@ -329,8 +319,8 @@ def train_relation_model(
             bad_rounds += 1
             if bad_rounds >= config.patience:
                 log.stopped_epoch = epoch
-                events.info("early_stop", phase="rel", epoch=epoch,
-                            best_hits1=max(log.valid_hits1))
+                telemetry.emit("early_stop", phase="rel", epoch=epoch,
+                               best_hits1=max(log.valid_hits1))
                 break
 
     checkpoint_rel.restore()

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from ..align.evaluator import EvaluationResult
 from ..kg.pair import AlignmentSplit, KGPair
 from ..nn.kernels import use_kernels
-from ..obs import events, trace
+from ..obs import trace
 from ..obs import telemetry as telemetry_mod
 from ..obs.runrecord import RunRecord, _slug, write_record
 from ..obs.session import active_session
@@ -271,9 +271,6 @@ def run_experiment(method_name: str, pair: KGPair,
     method = make_method(method_name)
     session = active_session()
     stream, engine = _open_stream(session, method, method_name, pair.name)
-    events.info("run_start", method=method_name, dataset=pair.name,
-                train=len(split.train), valid=len(split.valid),
-                test=len(split.test))
     try:
         previous_stream = telemetry_mod.set_stream(stream) \
             if stream is not None else None
@@ -336,9 +333,6 @@ def run_experiment(method_name: str, pair: KGPair,
         if stream is not None:
             session.last_stream_path = stream.path
         session.last_health = result.health
-    events.info("run_end", method=method_name, dataset=pair.name,
-                hits_at_1=result.hits_at_1, fit_seconds=fit_seconds,
-                eval_seconds=eval_seconds)
     return result
 
 

@@ -1,21 +1,21 @@
 """repro.obs — dependency-free observability for the whole stack.
 
-Four parts (see ``docs/observability.md``):
+Its parts (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
   registry with labeled series and percentile estimates.
 * :mod:`repro.obs.tracing` — hierarchical span tracer/profiler
   (``with trace.span("attr_pretrain/epoch", epoch=i): ...``).
-* :mod:`repro.obs.events` — leveled ``key=value`` structured event log
-  with JSONL / stderr sinks and rate limiting.
 * :mod:`repro.obs.runrecord` — per-run JSON manifests under ``runs/``.
 * :mod:`repro.obs.profile` — opt-in op-level autograd profiler
   (``obs.session(profile=True)``): per-op wall time, analytic FLOPs,
   live-tensor bytes, forward/backward split.
 * :mod:`repro.obs.chrometrace` — catapult-JSON export of spans + op
   events, viewable in Perfetto (``repro obs --chrome-trace``).
-* :mod:`repro.obs.telemetry` — live, tail-able JSONL event stream with
-  periodic metrics snapshots and a Prometheus text exposition file
+* :mod:`repro.obs.telemetry` — the one event API, ``telemetry.emit``:
+  it derives the trainer/eval registry series from each event, then
+  appends it to a live, tail-able JSONL stream with periodic metrics
+  snapshots and a Prometheus text exposition file
   (``obs.session(telemetry=True)`` / ``repro obs watch``).
 * :mod:`repro.obs.health` — declarative health rules
   (``loss.nonfinite``, ``hits@1.drop(vs=baseline, abs=0.02)``, ...)
@@ -23,8 +23,8 @@ Four parts (see ``docs/observability.md``):
 * :mod:`repro.obs.compare` — cross-run analytics over ``runs/``
   (``repro obs list / diff / compare / prune``).
 
-Everything is a no-op until a :func:`session` is entered (or a live
-registry/tracer/event log is installed explicitly), so instrumented hot
+Everything is a no-op until a :class:`session` is entered (or a live
+registry/tracer/stream is installed explicitly), so instrumented hot
 paths cost ~nothing by default.  Typical use::
 
     from repro import obs
@@ -36,15 +36,15 @@ paths cost ~nothing by default.  Typical use::
 Instrumented library code imports the submodules and calls through the
 process-global instances::
 
-    from repro.obs import events, metrics, trace
+    from repro.obs import metrics, telemetry, trace
 
     metrics.counter("optim.steps").inc()
     with trace.span("evaluate/rank"):
         ...
-    events.info("early_stop", phase="attr", epoch=epoch)
+    telemetry.emit("epoch", phase="attr", epoch=epoch, loss=loss)
 """
 
-from . import compare, events, health, metrics, telemetry
+from . import compare, health, metrics, telemetry
 from . import tracing as trace
 from .chrometrace import (
     build_chrome_trace,
@@ -52,7 +52,6 @@ from .chrometrace import (
     span_tree_to_events,
     write_chrome_trace,
 )
-from .events import EventLog, JsonlSink, StderrSink
 from .metrics import (
     Counter,
     Gauge,
@@ -102,7 +101,7 @@ from .tracing import (
 )
 
 __all__ = [
-    "metrics", "trace", "events", "telemetry", "health", "compare",
+    "metrics", "trace", "telemetry", "health", "compare",
     "TelemetryStream", "NullStream", "get_stream", "set_stream",
     "use_stream", "read_stream", "STREAM_SUFFIX",
     "HealthRule", "HealthEngine", "Alert", "parse_rules", "DEFAULT_RULES",
@@ -111,7 +110,6 @@ __all__ = [
     "get_registry", "set_registry", "use_registry",
     "Tracer", "NullTracer", "SpanNode", "format_span_tree",
     "get_tracer", "set_tracer", "use_tracer",
-    "EventLog", "JsonlSink", "StderrSink",
     "RunRecord", "write_record", "load_record", "latest_record",
     "list_records", "format_record", "version_stamp", "DEFAULT_RUNS_DIR",
     "ObsSession", "session", "active_session", "is_active",

@@ -1,8 +1,11 @@
-"""Observability sessions: activate metrics + tracing + events together.
+"""Observability sessions: activate metrics + tracing together.
 
-The instruments default to no-ops; an :class:`ObsSession` swaps live
-instances into the process-global slots for the duration of a ``with``
-block (and restores whatever was there before — sessions nest)::
+The instruments default to no-ops; an :class:`ObsSession` swaps a live
+metrics registry and span tracer into the process-global slots for the
+duration of a ``with`` block (and restores whatever was there before —
+sessions nest).  Every :func:`repro.obs.telemetry.emit` inside the block
+then updates the registry's trainer and eval series; with
+``telemetry=True`` the runner also streams each experiment's events::
 
     from repro import obs
 
@@ -20,10 +23,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from . import events as events_mod
 from . import metrics as metrics_mod
 from . import tracing as tracing_mod
-from .events import EventLog, JsonlSink, StderrSink
 from .metrics import Registry
 from .tracing import Tracer
 
@@ -33,7 +34,7 @@ _active: Optional["ObsSession"] = None
 
 
 class ObsSession:
-    """A bundle of live registry + tracer + event log, globally installed.
+    """A bundle of live registry + tracer, globally installed.
 
     With ``profile=True`` the session additionally installs an op-level
     autograd profiler (:class:`repro.obs.profile.OpProfiler`, exposed as
@@ -43,9 +44,6 @@ class ObsSession:
 
     def __init__(self, runs_dir: Optional[str] = "runs",
                  trace_alloc: bool = False,
-                 events_jsonl=None,
-                 events_stderr: bool = False,
-                 stderr_level: int = events_mod.INFO,
                  profile: bool = False,
                  profile_max_events: int = 200_000,
                  telemetry: bool = False,
@@ -54,12 +52,6 @@ class ObsSession:
         self.runs_dir = runs_dir
         self.registry = Registry()
         self.tracer = Tracer(trace_alloc=trace_alloc)
-        sinks: List = []
-        if events_jsonl is not None:
-            sinks.append(JsonlSink(events_jsonl))
-        if events_stderr:
-            sinks.append(StderrSink(min_level=stderr_level))
-        self.events = EventLog(sinks)
         self.profiler = None
         if profile:
             # Lazy import: profile pulls in repro.nn, which itself
@@ -87,7 +79,6 @@ class ObsSession:
         self._previous = (
             metrics_mod.set_registry(self.registry),
             tracing_mod.set_tracer(self.tracer),
-            events_mod.set_event_log(self.events),
             _active,
         )
         _active = self
@@ -99,29 +90,14 @@ class ObsSession:
         global _active
         if self.profiler is not None:
             self.profiler.uninstall()
-        prev_registry, prev_tracer, prev_events, prev_active = self._previous
+        prev_registry, prev_tracer, prev_active = self._previous
         metrics_mod.set_registry(prev_registry)
         tracing_mod.set_tracer(prev_tracer)
-        events_mod.set_event_log(prev_events)
         _active = prev_active
-        self.events.close()
 
 
-def session(runs_dir: Optional[str] = "runs", trace_alloc: bool = False,
-            events_jsonl=None, events_stderr: bool = False,
-            stderr_level: int = events_mod.INFO,
-            profile: bool = False,
-            profile_max_events: int = 200_000,
-            telemetry: bool = False,
-            health_rules: Optional[Sequence[str]] = None,
-            snapshot_seconds: float = 5.0) -> ObsSession:
-    """Create an :class:`ObsSession` (use as a context manager)."""
-    return ObsSession(runs_dir=runs_dir, trace_alloc=trace_alloc,
-                      events_jsonl=events_jsonl, events_stderr=events_stderr,
-                      stderr_level=stderr_level, profile=profile,
-                      profile_max_events=profile_max_events,
-                      telemetry=telemetry, health_rules=health_rules,
-                      snapshot_seconds=snapshot_seconds)
+#: ``obs.session(...)`` is the class itself, used as a context manager.
+session = ObsSession
 
 
 def active_session() -> Optional[ObsSession]:

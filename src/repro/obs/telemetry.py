@@ -2,10 +2,11 @@
 
 While :mod:`repro.obs.runrecord` writes *one* JSON manifest after a run
 finishes, this module streams structured events *while the run is in
-flight*: the trainer emits one ``epoch`` / ``validation`` event per
-epoch, the evaluator an ``eval`` event per ranking, the runner
-``run_start`` / ``phase`` / ``run_end`` markers, and the health engine
-(:mod:`repro.obs.health`) ``alert`` events.  Each line is a flat JSON
+flight*: every epoch loop emits one ``epoch`` event per epoch (plus a
+``validation`` event where it validates and an ``early_stop`` event
+where it stops early), the evaluator an ``eval`` event per ranking, the
+runner ``run_start`` / ``phase`` / ``run_end`` markers, and the health
+engine (:mod:`repro.obs.health`) ``alert`` events.  Each line is a flat JSON
 object carrying ``ts``, ``schema_version`` and an ``event`` name, so the
 stream can be tailed with ``tail -f`` or ``repro obs watch`` and parsed
 by anything that reads JSONL.
@@ -21,10 +22,14 @@ live state without touching Python::
     # runs/<record>-stream.jsonl   one event per line
     # runs/<record>.prom           text exposition, rewritten per snapshot
 
-Like the other instruments, emission goes through a process-global slot
-that defaults to a no-op :class:`NullStream` — instrumented code calls
-:func:`emit` unconditionally and pays ~one attribute load when no stream
-is installed.
+:func:`emit` is the one event API.  Before it appends an event to the
+stream it updates the registry series :data:`DERIVED` names for the
+event's kind (``trainer.loss``, ``trainer.valid_hits1``,
+``eval.hits_at_1``, ...), so a run's record holds the same per-epoch
+facts as its stream without the trainer restating them.  Like the other
+instruments, the stream goes through a process-global slot that defaults
+to a no-op :class:`NullStream`: instrumented code calls :func:`emit`
+unconditionally and pays two cheap calls when no session is active.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import metrics as metrics_mod
 
 __all__ = [
-    "STREAM_SCHEMA_VERSION", "STREAM_SUFFIX", "PROM_SUFFIX",
+    "STREAM_SCHEMA_VERSION", "STREAM_SUFFIX", "PROM_SUFFIX", "DERIVED",
     "TelemetryStream", "NullStream",
     "get_stream", "set_stream", "use_stream", "emit", "is_active",
     "read_stream", "iter_stream", "latest_stream", "stream_status",
@@ -57,6 +62,38 @@ STREAM_SUFFIX = "-stream.jsonl"
 #: Prometheus exposition files are ``<record-stem>.prom``.
 PROM_SUFFIX = ".prom"
 
+#: The registry series :func:`emit` derives from each event kind, as
+#: ``(instrument, series, event field, label fields)``.  A counter counts
+#: the event; a gauge or histogram takes the field's value and is
+#: skipped when the event lacks the field or holds ``None`` in it.
+DERIVED: Dict[str, Tuple[Tuple[str, str, Optional[str], Tuple[str, ...]],
+                         ...]] = {
+    "epoch": (
+        ("counter", "trainer.epochs", None, ("phase",)),
+        ("gauge", "trainer.loss", "loss", ("phase",)),
+        ("gauge", "trainer.lr", "lr", ("phase",)),
+        ("histogram", "trainer.epoch_seconds", "seconds", ("phase",)),
+        ("gauge", "trainer.loss_curve", "loss", ("phase", "epoch")),
+    ),
+    "validation": (
+        ("gauge", "trainer.valid_hits1", "hits1", ("phase",)),
+    ),
+    "eval": (
+        ("counter", "eval.rankings", None, ()),
+        ("histogram", "eval.ranking_seconds", "seconds", ()),
+        ("gauge", "eval.hits_at_1", "hits_at_1", ()),
+    ),
+}
+
+
+def _prom_sibling(stream_path: Path) -> Path:
+    """The ``.prom`` sibling of a stream: ``<stem>-stream.jsonl`` gives
+    ``<stem>.prom``; any other name its stem plus :data:`PROM_SUFFIX`."""
+    name = stream_path.name
+    stem = (name[:-len(STREAM_SUFFIX)] if name.endswith(STREAM_SUFFIX)
+            else stream_path.stem)
+    return stream_path.with_name(stem + PROM_SUFFIX)
+
 
 class TelemetryStream:
     """Append-only JSONL event stream with a periodic metrics snapshotter.
@@ -73,10 +110,8 @@ class TelemetryStream:
         Minimum seconds between ``metrics_snapshot`` events; ``0`` emits
         a snapshot after every event (tests), ``None`` disables the
         periodic snapshotter (explicit :meth:`snapshot` still works).
-    prom_path:
-        Prometheus exposition file rewritten at every snapshot.  Defaults
-        to the stream path with :data:`STREAM_SUFFIX` replaced by
-        :data:`PROM_SUFFIX`; pass ``False`` to disable.
+        Every snapshot also rewrites the Prometheus exposition file
+        ``prom_file``, the stream's ``.prom`` sibling.
     engine:
         Optional :class:`repro.obs.health.HealthEngine`; every emitted
         event is fed to it and any alerts it fires are appended to the
@@ -84,24 +119,13 @@ class TelemetryStream:
     """
 
     def __init__(self, path, registry: Optional[metrics_mod.Registry] = None,
-                 snapshot_seconds: Optional[float] = 5.0,
-                 prom_path=None, engine=None):
+                 snapshot_seconds: Optional[float] = 5.0, engine=None):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         self.registry = registry
         self.snapshot_seconds = snapshot_seconds
-        if prom_path is False:
-            self.prom_path: Optional[Path] = None
-        elif prom_path is None:
-            name = self.path.name
-            if name.endswith(STREAM_SUFFIX):
-                name = name[: -len(STREAM_SUFFIX)] + PROM_SUFFIX
-            else:
-                name = self.path.stem + PROM_SUFFIX
-            self.prom_path = self.path.with_name(name)
-        else:
-            self.prom_path = Path(prom_path)
+        self.prom_file = _prom_sibling(self.path)
         self.engine = engine
         self.events_written = 0
         self.snapshots_written = 0
@@ -160,15 +184,13 @@ class TelemetryStream:
         if self.registry is None or self._closed:
             return
         start = time.perf_counter()
-        digest = compact_digest(self.registry)
         self._write({
             "ts": time.time(),
             "schema_version": STREAM_SCHEMA_VERSION,
             "event": "metrics_snapshot",
-            "metrics": digest,
+            "metrics": self.registry.compact_snapshot(),
         })
-        if self.prom_path is not None:
-            write_prometheus(self.registry, self.prom_path)
+        write_prometheus(self.registry, self.prom_file)
         self.snapshots_written += 1
         self._last_snapshot = time.monotonic()
         self.registry.histogram("telemetry.snapshot_write_seconds").observe(
@@ -206,15 +228,10 @@ class TelemetryStream:
         target = Path(target)
         os.replace(self.path, target)
         self.path = target
-        if self.prom_path is not None and self.prom_path.exists():
-            name = target.name
-            if name.endswith(STREAM_SUFFIX):
-                name = name[: -len(STREAM_SUFFIX)] + PROM_SUFFIX
-            else:
-                name = target.stem + PROM_SUFFIX
-            new_prom = target.with_name(name)
-            os.replace(self.prom_path, new_prom)
-            self.prom_path = new_prom
+        if self.prom_file.exists():
+            new_prom = _prom_sibling(target)
+            os.replace(self.prom_file, new_prom)
+            self.prom_file = new_prom
         return target
 
 
@@ -273,7 +290,24 @@ class use_stream:
 
 
 def emit(event: str, **fields) -> None:
-    """Emit through the current global stream (no-op when none installed)."""
+    """Update the event's :data:`DERIVED` series in the global registry,
+    then append the event to the global stream.  Each step is a no-op
+    while its slot holds the null default."""
+    registry = metrics_mod.get_registry()
+    if registry.enabled:
+        for instrument, name, field, label_names in DERIVED.get(event, ()):
+            labels = {key: fields[key] for key in label_names
+                      if key in fields}
+            if instrument == "counter":
+                registry.counter(name).inc(**labels)
+                continue
+            value = fields.get(field)
+            if value is None:
+                continue
+            if instrument == "gauge":
+                registry.gauge(name).set(value, **labels)
+            else:
+                registry.histogram(name).observe(value, **labels)
     _default.emit(event, **fields)
 
 
@@ -408,9 +442,8 @@ def stream_status(events: List[Dict[str, object]]) -> Dict[str, object]:
             else:
                 status["alerts_warn"] += 1
         elif kind == "run_end":
-            for key in ("hits_at_1", "hits_at_10", "mrr"):
-                if key in record and key == "hits_at_1":
-                    status["hits@1"] = record[key]
+            if "hits_at_1" in record:
+                status["hits@1"] = record["hits_at_1"]
         elif kind == "stream_end":
             status["ended"] = True
     return status
@@ -440,19 +473,8 @@ def format_status_line(status: Dict[str, object]) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# Metrics digests: compact snapshot + Prometheus text exposition
+# Prometheus text exposition
 # ---------------------------------------------------------------------- #
-def compact_digest(registry: metrics_mod.Registry) -> Dict[str, object]:
-    """A trimmed registry dump sized for per-snapshot streaming.
-
-    Counters/gauges keep their values; histograms keep count / sum /
-    percentile estimates but drop the per-bucket count arrays (those stay
-    in the end-of-run record snapshot).  Delegates to
-    :meth:`repro.obs.metrics.Registry.compact_snapshot`.
-    """
-    return registry.compact_snapshot()
-
-
 def _prom_name(name: str) -> str:
     """Sanitise a dotted metric name into a Prometheus identifier."""
     out = []

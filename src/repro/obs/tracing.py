@@ -17,8 +17,7 @@ buffers through the traced allocator, so this approximates numpy
 allocation churn per span).
 
 The tree renders as an indented text report (:meth:`Tracer.report`) and
-exports as a JSON-able dict (:meth:`Tracer.to_dict`) or JSONL
-(:meth:`Tracer.write_jsonl`, one node per line with a ``path``).
+exports as a JSON-able dict (:meth:`Tracer.to_dict`).
 
 Like the metrics registry, the process-global tracer is a no-op
 :class:`NullTracer` until observability is activated; `span()` on the
@@ -27,10 +26,9 @@ null tracer reuses a single context-manager object and costs ~nothing.
 
 from __future__ import annotations
 
-import json
 import time
 import tracemalloc
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "SpanNode", "Tracer", "NullTracer",
@@ -172,18 +170,6 @@ class Tracer:
         )
         root["calls"] = max(root.get("calls", 0), 1)
         return root
-
-    def write_jsonl(self, stream: TextIO) -> int:
-        """Write one JSON object per tree node; returns the line count."""
-        lines = 0
-        for path, node in self.root.walk():
-            record = node.to_dict()
-            record.pop("children", None)
-            record["path"] = "/".join(path)
-            record["depth"] = len(path) - 1
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-            lines += 1
-        return lines
 
     def report(self, min_wall: float = 0.0) -> str:
         """Indented text rendering of the span tree."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..nn import Adam, clip_grad_norm
 from ..nn import functional as F
-from ..obs import events, metrics, telemetry, trace
+from ..obs import telemetry, trace
 from .bert import BertConfig, BertForMaskedLM, SequenceEncoder
 from .tokenizer import WordPieceTokenizer
 from .vocab import Vocab
@@ -70,8 +70,7 @@ def mask_tokens(ids: np.ndarray, attention: np.ndarray, mask_id: int,
 
 
 def pretrain_mlm(model: BertForMaskedLM, vocab: Vocab, ids: np.ndarray,
-                 mask: np.ndarray, config: PretrainConfig,
-                 log: list | None = None) -> List[float]:
+                 mask: np.ndarray, config: PretrainConfig) -> List[float]:
     """Pre-train ``model`` on padded token rows; return per-epoch mean losses.
 
     ``ids``/``mask`` are ``[CLS]``-led rows as :class:`SequenceEncoder`
@@ -79,7 +78,7 @@ def pretrain_mlm(model: BertForMaskedLM, vocab: Vocab, ids: np.ndarray,
     dropped; every batch is trimmed to its longest row, the width of
     its attention grid.  MiniBert's position-wise layers and dropout
     run on the batch's real tokens only, and the head on the masked
-    ones.
+    ones.  Each epoch emits one ``epoch`` telemetry event.
     """
     rng = np.random.default_rng(config.seed)
     mask = np.asarray(mask, dtype=bool)
@@ -93,6 +92,7 @@ def pretrain_mlm(model: BertForMaskedLM, vocab: Vocab, ids: np.ndarray,
     model.train()
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
+        grad_norm = None
         with trace.span("mlm/epoch", epoch=epoch):
             order = rng.permutation(len(rows))
             losses: List[float] = []
@@ -112,27 +112,15 @@ def pretrain_mlm(model: BertForMaskedLM, vocab: Vocab, ids: np.ndarray,
                     loss = F.cross_entropy(logits, flat_labels[positions])
                     optimizer.zero_grad()
                     loss.backward()
-                    clip_grad_norm(model.parameters(), config.max_grad_norm)
+                    grad_norm = clip_grad_norm(model.parameters(),
+                                               config.max_grad_norm)
                     optimizer.step()
                     losses.append(loss.item())
-                events.every(50, "batch", phase="mlm", loss=losses[-1]
-                             if losses else float("nan"))
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         epoch_losses.append(mean_loss)
-        metrics.counter("trainer.epochs").inc(phase="mlm")
-        metrics.gauge("trainer.loss").set(mean_loss, phase="mlm")
-        # One labeled series per epoch => the loss curve survives in the
-        # registry snapshot (and therefore in run records).
-        metrics.gauge("mlm.loss_curve").set(mean_loss, epoch=epoch)
-        epoch_seconds = time.perf_counter() - epoch_start
-        metrics.histogram("trainer.epoch_seconds").observe(
-            epoch_seconds, phase="mlm"
-        )
-        events.debug("epoch", phase="mlm", epoch=epoch, loss=mean_loss)
         telemetry.emit("epoch", phase="mlm", epoch=epoch, loss=mean_loss,
-                       seconds=epoch_seconds, lr=config.lr)
-        if log is not None:
-            log.append(mean_loss)
+                       seconds=time.perf_counter() - epoch_start,
+                       lr=config.lr, grad_norm=grad_norm)
     model.eval()
     return epoch_losses
 

@@ -1,6 +1,5 @@
-"""Unit tests for repro.obs: metrics, tracing, events, run records."""
+"""Unit tests for repro.obs: metrics, tracing, run records, sessions."""
 
-import io
 import json
 import math
 import warnings
@@ -11,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import events as events_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import tracing as tracing_mod
 from repro.obs.compare import diff_records, list_runs
-from repro.obs.events import INFO, WARN, EventLog, JsonlSink, StderrSink
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -240,19 +237,6 @@ class TestTracer:
         expected = (t.root.children["a"].wall + t.root.children["b"].wall)
         assert tree["wall_seconds"] == pytest.approx(expected)
 
-    def test_write_jsonl_one_line_per_node(self):
-        t = Tracer()
-        with t.span("a"):
-            with t.span("b"):
-                pass
-        buf = io.StringIO()
-        count = t.write_jsonl(buf)
-        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert count == len(lines) == 3  # root, a, b
-        paths = {line["path"] for line in lines}
-        assert "root/a/b" in paths
-        assert all("children" not in line for line in lines)
-
     def test_report_renders_indented_tree(self):
         t = Tracer()
         with t.span("fit"):
@@ -277,45 +261,6 @@ class TestTracer:
                 pass
         assert tracing_mod.get_tracer() is before
         assert "x" in live.root.children
-
-
-class TestEvents:
-    def test_no_sinks_drops_everything(self):
-        log = EventLog()
-        log.info("event", a=1)  # must not raise
-        assert not log.enabled
-
-    def test_jsonl_sink_round_trip(self):
-        buf = io.StringIO()
-        log = EventLog([JsonlSink(buf)])
-        log.info("run_start", method="sdea", n=3)
-        record = json.loads(buf.getvalue())
-        assert record["event"] == "run_start"
-        assert record["method"] == "sdea"
-        assert record["level"] == INFO
-        assert "ts" in record
-
-    def test_stderr_sink_formats_and_filters(self):
-        buf = io.StringIO()
-        log = EventLog([StderrSink(min_level=WARN, stream=buf)])
-        log.info("quiet")
-        log.warn("loud", code=7)
-        out = buf.getvalue()
-        assert "quiet" not in out
-        assert "WARN" in out and "loud" in out and "code=7" in out
-
-    def test_every_rate_limits(self):
-        buf = io.StringIO()
-        log = EventLog([JsonlSink(buf)])
-        for _ in range(10):
-            log.every(5, "batch", loss=0.1)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == 2  # occurrences 0 and 5
-        assert json.loads(lines[1])["seq"] == 5
-
-    def test_global_default_is_sinkless(self):
-        assert not events_mod.get_event_log().enabled
-        events_mod.info("noop")  # must not raise
 
 
 class TestRunRecord:
@@ -445,13 +390,6 @@ class TestSession:
             with obs.session(runs_dir=None) as inner:
                 assert obs.active_session() is inner
             assert obs.active_session() is outer
-
-    def test_session_event_sinks(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with obs.session(runs_dir=None, events_jsonl=path):
-            events_mod.info("hello", k="v")
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0])["event"] == "hello"
 
 
 class TestInstrumentedPrimitives:

@@ -1,6 +1,7 @@
 """End-to-end observability: instrumented runs, run records, overhead."""
 
 import json
+import math
 import statistics
 import time
 
@@ -13,6 +14,7 @@ from repro.cli import main
 from repro.core import SDEA
 from repro.core.candidates import gen_candidates
 from repro.obs.runrecord import load_record
+from repro.obs.telemetry import STREAM_SUFFIX, TelemetryStream, use_stream
 
 
 class TestCliTraceSmoke:
@@ -77,10 +79,11 @@ class TestCliTraceSmoke:
 
 
 class TestSdeaInstrumentation:
-    """A tiny SDEA fit populates TrainLog extensions, metrics and spans."""
+    """A tiny SDEA fit populates TrainLog extensions, metrics, spans and
+    a live telemetry stream."""
 
     @pytest.fixture(scope="class")
-    def fitted(self, request):
+    def fitted(self, request, tmp_path_factory):
         tiny_pair = request.getfixturevalue("tiny_pair")
         tiny_split = request.getfixturevalue("tiny_split")
         from repro.core import SDEAConfig
@@ -90,13 +93,16 @@ class TestSdeaInstrumentation:
             attr_epochs=2, rel_epochs=2, mlm_epochs=1, vocab_size=500,
             patience=2, seed=1,
         )
-        with obs.session(runs_dir=None) as sess:
+        stream = TelemetryStream(
+            tmp_path_factory.mktemp("stream") / ("fit" + STREAM_SUFFIX))
+        with obs.session(runs_dir=None) as sess, use_stream(stream):
             model = SDEA(config)
             result = model.fit(tiny_pair, tiny_split)
-        return sess, result
+        stream.close()
+        return sess, result, obs.read_stream(stream.path)
 
     def test_trainlog_has_wall_time_and_lr_per_epoch(self, fitted):
-        _, result = fitted
+        _, result, _ = fitted
         for log in (result.attribute_log, result.relation_log):
             assert len(log.epoch_seconds) == len(log.losses)
             assert len(log.learning_rates) == len(log.losses)
@@ -107,7 +113,7 @@ class TestSdeaInstrumentation:
         assert isinstance(result.attribute_log.stopped_epoch, int)
 
     def test_metrics_registry_saw_both_phases(self, fitted):
-        sess, result = fitted
+        sess, result, _ = fitted
         epochs = sess.registry.counter("trainer.epochs")
         assert epochs.value(phase="attr") == len(result.attribute_log.losses)
         assert epochs.value(phase="rel") == len(result.relation_log.losses)
@@ -117,11 +123,38 @@ class TestSdeaInstrumentation:
         assert sess.registry.counter("optim.steps").value(
             optimizer="adam") > 0
         assert sess.registry.gauge("trainer.lr").value(phase="attr") > 0
-        # MLM loss curve: one labeled series per epoch.
-        assert sess.registry.gauge("mlm.loss_curve").value(epoch=0) is not None
+        # Loss curve: one labeled series per (phase, epoch).
+        assert sess.registry.gauge("trainer.loss_curve").value(
+            phase="mlm", epoch=0) is not None
+
+    def test_registry_series_derive_from_stream_events(self, fitted):
+        sess, _, events = fitted
+        registry = sess.registry
+        for phase in ("mlm", "attr", "rel"):
+            epochs = [e for e in events
+                      if e["event"] == "epoch" and e["phase"] == phase]
+            assert epochs, phase
+            assert registry.counter("trainer.epochs").value(
+                phase=phase) == len(epochs)
+            for event in epochs:
+                assert registry.gauge("trainer.loss_curve").value(
+                    phase=phase, epoch=event["epoch"]) == event["loss"]
+            validations = [e for e in events if e["event"] == "validation"
+                           and e["phase"] == phase]
+            last_hits1 = validations[-1]["hits1"] if validations else None
+            assert registry.gauge("trainer.valid_hits1").value(
+                phase=phase) == last_hits1
+
+    def test_every_epoch_event_carries_a_finite_grad_norm(self, fitted):
+        """MLM included: the health rules on grad_norm see every phase."""
+        _, _, events = fitted
+        epochs = [e for e in events if e["event"] == "epoch"]
+        assert {e["phase"] for e in epochs} == {"mlm", "attr", "rel"}
+        for event in epochs:
+            assert math.isfinite(event.get("grad_norm", math.nan)), event
 
     def test_span_tree_covers_training_phases(self, fitted):
-        sess, _ = fitted
+        sess, _, _ = fitted
         names = {path[-1] for path, _ in sess.tracer.root.walk()}
         assert {"mlm/epoch", "attr_pretrain/epoch", "rel_train/epoch",
                 "candidates/gen", "batch", "validate"} <= names
@@ -135,7 +168,7 @@ class TestSdeaInstrumentation:
 class TestOverheadGuard:
     """Metrics/span instrumentation must stay within 5% of the no-op path.
 
-    The no-op path (null registry/tracer/event log) is the default when no
+    The no-op path (null registry/tracer) is the default when no
     session is active; the live path is measured inside ``obs.session``.
     Baseline and instrumented runs are interleaved, medians compared
     (scheduler spikes are one-sided, so a single lucky minimum must not

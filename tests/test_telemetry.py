@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
+from repro.obs import metrics as metrics_mod
 from repro.obs import telemetry
-from repro.obs.metrics import Registry
+from repro.obs.metrics import Registry, use_registry
 from repro.obs.telemetry import (
     STREAM_SCHEMA_VERSION,
     STREAM_SUFFIX,
@@ -126,7 +127,7 @@ class TestSnapshotter:
         stream.snapshot()
         stream.close(final_snapshot=False)
         prom = tmp_path / "x.prom"
-        assert stream.prom_path == prom
+        assert stream.prom_file == prom
         text = prom.read_text()
         assert "eval_rankings_total 1" in text
         assert 'trainer_loss{phase="attr"} 0.25' in text
@@ -206,6 +207,40 @@ class TestGlobalSlot:
         stream.close()
         assert [e["event"] for e in read_stream(stream.path)] == [
             "epoch", "stream_end"]
+
+    def test_emit_without_session_writes_no_series(self):
+        telemetry.emit("epoch", phase="attr", epoch=0, loss=1.0,
+                       seconds=0.1, lr=0.01)  # must not raise
+        telemetry.emit("eval", hits_at_1=0.5, seconds=0.1)
+        assert metrics_mod.get_registry().snapshot() == {}
+
+    def test_emit_derives_series_and_skips_missing_fields(self):
+        registry = Registry()
+        with use_registry(registry):
+            telemetry.emit("epoch", phase="attr", epoch=0, loss=2.0,
+                           seconds=0.5, lr=0.01, grad_norm=3.0)
+            telemetry.emit("epoch", phase="attr", epoch=1, loss=None,
+                           seconds=0.25)
+            telemetry.emit("validation", phase="attr", epoch=1, hits1=0.4)
+            telemetry.emit("eval", hits_at_1=0.5, seconds=0.1)
+            telemetry.emit("run_start", method="sdea")
+        assert registry.counter("trainer.epochs").value(phase="attr") == 2
+        assert registry.gauge("trainer.loss").value(phase="attr") == 2.0
+        assert registry.gauge("trainer.lr").value(phase="attr") == 0.01
+        assert registry.histogram("trainer.epoch_seconds").count(
+            phase="attr") == 2
+        assert registry.gauge("trainer.loss_curve").value(
+            phase="attr", epoch=0) == 2.0
+        assert registry.gauge("trainer.loss_curve").value(
+            phase="attr", epoch=1) is None
+        assert registry.gauge("trainer.valid_hits1").value(
+            phase="attr") == 0.4
+        assert registry.counter("eval.rankings").value() == 1
+        assert registry.histogram("eval.ranking_seconds").count() == 1
+        assert registry.gauge("eval.hits_at_1").value() == 0.5
+        derived = {name for series in telemetry.DERIVED.values()
+                   for _, name, _, _ in series}
+        assert set(registry.names()) == derived
 
 
 class TestTailing:
