@@ -1,6 +1,6 @@
 # Convenience targets for the SDEA reproduction.
 
-.PHONY: install test lint shapecheck check bench bench-hot bench-hot-smoke \
+.PHONY: install test lint check bench bench-hot bench-hot-smoke \
 	bench-compare-smoke report obs-demo obs-check ir-check e2e-smoke \
 	profile-demo clean
 
@@ -14,16 +14,11 @@ test:
 lint:
 	PYTHONPATH=src python -m repro.cli lint src tests
 
-# Symbolic whole-model shape check: every registered method executed
-# abstractly over named dims, zero real FLOPs (docs/static_analysis.md).
-shapecheck:
-	PYTHONPATH=src python -m repro.cli shape-check
-
-# The full gate: lint clean, shapes clean, hot-path bench smoke,
-# committed bench baseline structurally valid, telemetry pipeline
-# end-to-end, IR capture/replay verified, e2e benchmark smoke, tests.
-check: lint shapecheck bench-hot-smoke bench-compare-smoke obs-check ir-check e2e-smoke test
-	@echo "check: OK - all gates green (lint, shape, bench, obs, ir, e2e, tests)"
+# The full gate: lint clean, hot-path bench smoke, committed bench
+# baseline structurally valid, telemetry pipeline end-to-end, IR
+# capture/replay and shape contracts verified, e2e benchmark smoke, tests.
+check: lint bench-hot-smoke bench-compare-smoke obs-check ir-check e2e-smoke test
+	@echo "check: OK - all gates green (lint, bench, obs, ir, e2e, tests)"
 
 # Tiny instrumented run: prints the span report and writes a run record
 # under runs/ (inspect it with `python -m repro.cli obs`).
@@ -40,10 +35,11 @@ obs-check:
 
 # Training-step IR pipeline end-to-end: capture every training phase of
 # two gate-clean baselines (zero gating G-findings) and of SDEA (three
-# phases, zero error findings) on the composed ops, and SDEA's three
-# phases again under use_kernels(); assert a consistent liveness plan
-# (planned <= eager <= measured peak) and a bit-for-bit replay against
-# eager with no opaque op (part of `make check`).
+# phases, zero error findings, so no broken @shape_spec contract) on the
+# composed ops, and SDEA's three phases again under use_kernels();
+# assert a consistent liveness plan (planned <= eager <= measured peak)
+# and a bit-for-bit replay against eager with no opaque op (part of
+# `make check`).
 ir-check:
 	python benchmarks/ir_check.py
 

@@ -9,10 +9,11 @@ capture -> analyze -> verify chain held together:
 * ``mtranse`` and ``gcn-align`` (one phase each) report zero *gating*
   findings (info-level G001/G004 are allowed);
 * ``sdea`` yields three captures — MLM pre-training, Alg.-2 fine-tuning
-  and relation training — with no error-severity finding.  Its Alg.-2
-  and relation steps carry true G005 warnings (the triplet's repeated
-  embedding ``take``; the GRU's packed-weight ``concatenate``, built
-  once per call by design), so warnings do not gate it;
+  and relation training — with no error-severity finding, so every
+  layer call in them keeps its ``@shape_spec`` contract (G014).  Its
+  Alg.-2 and relation steps carry true G005 warnings (the triplet's
+  repeated embedding ``take``; the GRU's packed-weight ``concatenate``,
+  built once per call by design), so warnings do not gate it;
 * the liveness plan is internally consistent: planned peak <= eager
   peak <= the profiler's measured ``peak_tensor_bytes``;
 * the replay executor re-runs each captured IR and every op output and

@@ -1,6 +1,6 @@
 """repro.analysis — correctness tooling for the numpy autograd stack.
 
-Four parts (see ``docs/static_analysis.md``):
+Three parts (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — AST-based lint framework with
   repo-specific rules (in-place ``Tensor.data`` mutation, unseeded
@@ -11,23 +11,15 @@ Four parts (see ``docs/static_analysis.md``):
   ``torch.autograd.set_detect_anomaly``) that records op provenance and
   raises with the originating op's stack snippet.  Exposed as
   ``repro run --detect-anomaly`` and ``SDEAConfig.detect_anomaly``.
-* :mod:`repro.analysis.shapes` — symbolic shape/dtype abstract
-  interpreter: :class:`AbstractTensor` executes any ``Module.forward``
-  with zero real FLOPs over named symbolic dims, catching shape
-  mismatches, silent size-1 broadcasts, dtype drift and grad-flag
-  drops statically.  Exposed as ``repro shape-check``.  (The
-  whole-model interpreter lives in
-  :mod:`repro.analysis.shapes.interpreter` and is imported lazily —
-  it depends on ``repro.core``/``repro.baselines``.)
 * :mod:`repro.analysis.ir` — training-step IR: captures one clean
   fwd+bwd step of each training phase into an SSA-style op graph, runs
   compiler-style passes (liveness/memory planning, dead ops, fusion
-  legality, value CSE, dtype escapes, and the gradient checks: detached
+  legality, value CSE, dtype escapes, the gradient checks: detached
   loss, parameters outside the graph, dropped, stale, wrong-shape,
-  non-finite or all-zero gradients — codes G001–G013) and verifies the
-  IR with a bit-for-bit replay executor.  Exposed as ``repro ir``.
-  (Imported lazily like the shape interpreter — capturing a method
-  pulls in ``repro.core``.)
+  non-finite or all-zero gradients, and the layers' ``@shape_spec``
+  contracts — codes G001–G014) and verifies the IR with a bit-for-bit
+  replay executor.  Exposed as ``repro ir``.  (Imported lazily:
+  capturing a method pulls in ``repro.core``.)
 
 Finding records and gate policy are shared across the dynamic tools in
 :mod:`repro.analysis.findings`.
@@ -52,20 +44,6 @@ from .lint import (
     lint_paths,
     lint_source,
 )
-from .shapes import (
-    AbstractShapeError,
-    AbstractTensor,
-    ConstraintError,
-    Dim,
-    DimExpr,
-    ShapeEnv,
-    ShapeSpec,
-    SymbolicTrace,
-    enforce_constraints,
-    lift_tensor,
-    shape_spec,
-    verify_module_calls,
-)
 
 __all__ = [
     "Rule", "Violation", "LintReport",
@@ -73,7 +51,4 @@ __all__ = [
     "Finding", "GATING_SEVERITIES", "gate_findings", "count_findings",
     "filter_findings", "format_findings_text",
     "AnomalyError", "OpProvenance", "detect_anomaly", "is_anomaly_enabled",
-    "Dim", "DimExpr", "ShapeEnv", "ConstraintError", "enforce_constraints",
-    "AbstractTensor", "AbstractShapeError", "SymbolicTrace", "lift_tensor",
-    "ShapeSpec", "shape_spec", "verify_module_calls",
 ]

@@ -1,10 +1,10 @@
 """Shared finding/report plumbing for the dynamic analysis tools.
 
 ``repro ir`` reports typed findings through :class:`Finding` (as
-:mod:`repro.analysis.lint` and :mod:`repro.analysis.shapes` do through
-their own file- and method-anchored records):
+:mod:`repro.analysis.lint` does through its own file-anchored
+records):
 
-* a finding carries a catalogue ``code`` (``G001``–``G013``) and a
+* a finding carries a catalogue ``code`` (``G001``–``G014``) and a
   ``where`` location (module path / node labels), rendering as
   ``[severity] G004 fusion-opportunity: ... (at Module/Path)``;
 * a finding outside the catalogue (``capture-overflow``) has no code

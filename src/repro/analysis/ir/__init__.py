@@ -6,10 +6,11 @@ The pipeline (``repro ir``) is capture → analyze → verify:
    fwd+bwd step of each training phase into an explicit SSA-style op
    graph (:class:`IRGraph`); the capture is an engine observer, like
    the op profiler.
-2. :func:`run_passes` runs the G001–G013 analyses (liveness/memory
-   planning, dead ops, fusion legality, value CSE, dtype escapes and
-   the gradient checks) and returns an :class:`IRReport` of shared
-   :class:`~repro.analysis.findings.Finding` records.
+2. :func:`run_passes` runs the G001–G014 analyses (liveness/memory
+   planning, dead ops, fusion legality, value CSE, dtype escapes, the
+   gradient checks and the layers' shape contracts) and returns an
+   :class:`IRReport` of shared :class:`~repro.analysis.findings.Finding`
+   records.
 3. :func:`replay` re-executes the captured step and asserts outputs
    and leaf gradients are bit-for-bit identical to what the eager
    engine produced — the proof that the IR is a faithful model.

@@ -6,7 +6,10 @@ dispatch (the backward schedule), every ``Tensor.backward`` call (the
 step delimiter), every optimizer created (its parameter group) and
 every module call (the shared module-path tracker from
 :mod:`repro.obs.attribution`).  It records a *window* of grad-tracked
-ops ending at each ``backward()`` call.
+ops ending at each ``backward()`` call.  Every module call in the window
+is also checked against its layer's ``@shape_spec`` contract
+(:mod:`repro.nn.spec`) on the real tensors it took and returned; the
+violations go with the window's capture (pass G014 reports them).
 
 Step selection follows the training phases.  A step's *signature* is
 the set of gradient leaves its loss reaches; SDEA's MLM pre-training,
@@ -36,11 +39,12 @@ walks through them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...nn.hooks import Observer, register_observer
+from ...nn.spec import check_call
 from ...nn.tensor import OpCall, Tensor, get_default_dtype
 from ...obs.attribution import ModulePathTracker
 from .graph import IRGraph, IRNode
@@ -69,6 +73,9 @@ class StepCapture:
     #: Parameter group of the optimizer training this step (empty when
     #: no optimizer created under the harness holds any of its leaves).
     params: List[Tensor] = field(default_factory=list)
+    #: ``(module path, message)`` of each distinct ``@shape_spec``
+    #: violation by a module call in the window.
+    spec_violations: List[Tuple[str, str]] = field(default_factory=list)
 
     def grad_leaves(self) -> List[IRNode]:
         """Gradient-accumulating sources (trainable leaves)."""
@@ -132,6 +139,9 @@ class IRCapture(Observer):
         self._paths.push(module)
 
     def module_exited(self, module, args, kwargs, out):
+        if not self._done:
+            for message in check_call(module, args, kwargs, out):
+                self._violations[self._paths.path(), message] = None
         self._paths.pop()
         return out
 
@@ -158,6 +168,7 @@ class IRCapture(Observer):
         self._tensors: Dict[int, Tensor] = {}   # strong refs keep ids valid
         self._calls: Dict[int, OpCall] = {}
         self._nodes: List[IRNode] = []
+        self._violations: Dict[Tuple[str, str], None] = {}
         self._overflowed = False
 
     def _next_uid(self) -> int:
@@ -346,6 +357,7 @@ class IRCapture(Observer):
             clean=clean,
             step_index=self._backward_count,
             params=self._param_group(signature),
+            spec_violations=list(self._violations),
         )
 
 

@@ -3,7 +3,8 @@
 Each pass inspects the :class:`~repro.analysis.ir.graph.IRGraph` of a
 :class:`~repro.analysis.ir.capture.StepCapture` — and, for G007–G013,
 the optimizer group and the leaf gradients it snapshotted around
-backward — and emits shared :class:`~repro.analysis.findings.Finding`
+backward; for G014, the shape-contract violations it recorded — and
+emits shared :class:`~repro.analysis.findings.Finding`
 records with a catalogue code.  Severities follow the gate policy in
 :mod:`repro.analysis.findings`: ``info`` findings are optimisation
 opportunities that never fail a build; ``warning``/``error`` findings
@@ -36,6 +37,8 @@ G010 double-backward-    warning  leaf already held a gradient when
 G011 shape-mismatch      error    leaf gradient shaped unlike its leaf
 G012 nonfinite-gradient  error    leaf gradient with NaN/Inf entries
 G013 zero-gradient       warning  backward delivered an all-zero gradient
+G014 spec-violation      error    module call whose argument or return
+                                  shape breaks its ``@shape_spec``
 ==== =================== ======== ==========================================
 """
 
@@ -84,6 +87,8 @@ G_CODES = {
              "NaN/Inf gradient"),
     "G013": ("zero-gradient", "warning",
              "all-zero gradient"),
+    "G014": ("spec-violation", "error",
+             "module call breaks its @shape_spec contract"),
 }
 
 
@@ -564,6 +569,14 @@ def _pass_gradients(capture: StepCapture) -> List[Finding]:
     return findings
 
 
+# ---------------------------------------------------------------------- #
+# G014 — shape contracts
+# ---------------------------------------------------------------------- #
+def _pass_spec_violations(capture: StepCapture) -> List[Finding]:
+    return [_finding("G014", message, where=where)
+            for where, message in capture.spec_violations]
+
+
 @dataclass
 class IRReport:
     """Everything ``repro ir`` shows for one captured step."""
@@ -631,6 +644,7 @@ def run_passes(capture: StepCapture,
     findings += _pass_detached_loss(capture)
     findings += _pass_optimizer_group(capture)
     findings += _pass_gradients(capture)
+    findings += _pass_spec_violations(capture)
     if capture.graph.overflowed:
         findings.append(Finding(
             kind="capture-overflow", severity="warning",

@@ -18,7 +18,6 @@ Usage (installed as the ``repro`` console script)::
     repro table    --table 3            # regenerate a paper table
     repro export   --dataset srprs/en_fr --out ./data/en_fr
     repro lint     src tests            # autograd-aware static analysis
-    repro shape-check                   # symbolic whole-model shape check
     repro ir       --method sdea --replay   # per-phase training-step IR + replay
     repro ir                            # IR-check every registered method
     repro ir       --method jape-stru --dot step.dot --format json
@@ -439,38 +438,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
-def _cmd_shape_check(args: argparse.Namespace) -> int:
-    from .analysis.shapes.interpreter import (
-        format_json as shapes_json,
-        format_text as shapes_text,
-        shape_check,
-    )
-    from .obs import metrics
-
-    methods = None
-    if args.method is not None:
-        # shape_check reports a name without a probe as finding S006;
-        # a name that is not a method at all is a usage error.
-        if args.method not in available_methods():
-            raise UnknownNameError("method", args.method,
-                                   available_methods())
-        methods = [args.method]
-    start = time.perf_counter()
-    report = shape_check(methods, select=args.select, ignore=args.ignore)
-    seconds = time.perf_counter() - start
-    # Same pattern as `repro lint`: lands in the run-record metrics
-    # snapshot when an obs session is active, no-op otherwise.
-    metrics.histogram("analysis.shapecheck_seconds").observe(seconds)
-    metrics.counter("analysis.shapecheck_findings").inc(len(report.findings))
-    output = shapes_json(report) if args.format == "json" \
-        else shapes_text(report)
-    print(output)
-    if args.format == "text":
-        print(f"(shape-checked {len(report.reports)} methods "
-              f"in {seconds * 1000:.0f} ms)")
-    return 1 if report.findings else 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Op-level profile of one method's training loop.
 
@@ -527,7 +494,7 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     """Capture each training phase's step as IR, analyze, optionally replay.
 
     Runs the method (every registered method without ``--method``) at
-    unit-test scale on the tiny synthetic pair, prints the G001–G013
+    unit-test scale on the tiny synthetic pair, prints the G001–G014
     findings of every captured phase, and with ``--replay`` re-executes
     each captured step and verifies it bit-for-bit against what the
     eager engine produced.  A crashed fit is reported and the remaining
@@ -564,8 +531,8 @@ def _cmd_ir(args: argparse.Namespace) -> int:
             method_reports.append(report)
             dots.append(capture.graph.to_dot())
         seconds = time.perf_counter() - start
-        # Same pattern as `repro lint` / `repro shape-check`: lands in
-        # the run-record metrics snapshot when an obs session is active.
+        # Same pattern as `repro lint`: lands in the run-record metrics
+        # snapshot when an obs session is active.
         metrics.histogram("analysis.ir_seconds").observe(seconds)
         metrics.counter("analysis.ir_findings").inc(
             sum(len(report.findings) for report in method_reports))
@@ -737,28 +704,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip specific rule ids (e.g. R005)")
     lint.set_defaults(func=_cmd_lint)
 
-    shape = sub.add_parser(
-        "shape-check",
-        help="abstractly execute every registered method over symbolic "
-             "dims and report shape/dtype/broadcast findings (see "
-             "docs/static_analysis.md)",
-    )
-    shape.add_argument("--method", default=None,
-                       help="check one method (default: all registered)")
-    shape.add_argument("--format", choices=("text", "json"), default="text")
-    shape.add_argument("--select", nargs="*", default=None,
-                       help="restrict to specific finding codes "
-                            "(e.g. S001 S002)")
-    shape.add_argument("--ignore", nargs="*", default=None,
-                       help="skip specific finding codes (e.g. S003)")
-    shape.set_defaults(func=_cmd_shape_check)
-
     ir = sub.add_parser(
         "ir",
         help="capture one step of each training phase as an SSA-style op "
              "graph, run compiler-style passes (liveness, dead ops, "
-             "fusion legality, gradient checks, ... — codes G001-G013) "
-             "and optionally verify the IR with a bit-for-bit replay",
+             "fusion legality, gradient checks, shape contracts, ... — "
+             "codes G001-G014) and optionally verify the IR with a "
+             "bit-for-bit replay",
     )
     ir.add_argument("--method", default=None,
                     help="one registered method (default: every method)")

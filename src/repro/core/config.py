@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ConstraintError
 from ..text.bert import BertConfig
 
 
@@ -108,11 +109,9 @@ class SDEAConfig:
     def validate(self) -> None:
         """Fail fast on dimension-contract violations.
 
-        Uses the symbolic :class:`~repro.analysis.shapes.dims.Dim`
-        constraint kit to cross-check the widths the trainer will wire
-        together (attribute head → joint-head concat → final embedding)
-        *at construction time*, so a mis-sized config dies here with a
-        named-dimension message instead of deep inside a matmul after
+        Checks the sizes and choices the trainer wires together at
+        construction time, so a mis-sized config dies here with a
+        message naming the field instead of deep inside a matmul after
         minutes of BERT pre-training.
 
         Raises
@@ -120,28 +119,23 @@ class SDEAConfig:
         ConstraintError
             Listing every violated constraint.
         """
-        from ..analysis.shapes.dims import (
-            ConstraintError, Dim, Divides, OneOf, Positive, as_expr,
-            check_constraints,
-        )
-
-        errors = check_constraints([
-            Positive(self.bert_dim, "bert_dim"),
-            Positive(self.bert_heads, "bert_heads"),
-            Positive(self.bert_layers, "bert_layers"),
-            Positive(self.bert_ff_dim, "bert_ff_dim"),
-            Positive(self.max_seq_len, "max_seq_len"),
-            Positive(self.embed_dim, "embed_dim"),
-            Positive(self.relation_hidden, "relation_hidden"),
-            Positive(self.max_neighbors, "max_neighbors"),
-            Positive(self.vocab_size, "vocab_size"),
-            Divides(self.bert_heads, self.bert_dim,
-                    "multi-head attention splits bert_dim across heads"),
-            OneOf(self.pooling, ("cls", "mean", "cls_mean"), "pooling"),
-            OneOf(self.relation_aggregator,
-                  ("bigru_attention", "attention_only", "mean", "max"),
-                  "relation_aggregator"),
-        ])
+        sizes = ("bert_dim", "bert_heads", "bert_layers", "bert_ff_dim",
+                 "max_seq_len", "embed_dim", "relation_hidden",
+                 "max_neighbors", "vocab_size")
+        errors = [f"{name} = {getattr(self, name)} must be positive"
+                  for name in sizes if getattr(self, name) <= 0]
+        if self.bert_heads <= 0 or self.bert_dim % self.bert_heads:
+            errors.append(
+                f"bert_heads = {self.bert_heads} does not divide bert_dim = "
+                f"{self.bert_dim} (multi-head attention splits bert_dim "
+                "across heads)")
+        for name, options in (
+                ("pooling", ("cls", "mean", "cls_mean")),
+                ("relation_aggregator",
+                 ("bigru_attention", "attention_only", "mean", "max"))):
+            if getattr(self, name) not in options:
+                errors.append(f"{getattr(self, name)!r} is not one of "
+                              f"{list(options)} ({name})")
         if not 0.0 <= self.dropout < 1.0:
             errors.append(f"dropout = {self.dropout} must be in [0, 1)")
         if self.margin <= 0.0:
@@ -155,26 +149,6 @@ class SDEAConfig:
                 parse_rules([str(rule) for rule in self.health_rules])
             except RuleError as exc:
                 errors.append(str(exc))
-
-        # Joint-head concat contract (Eq. 16/17): the trainer wires
-        # JointRepresentation(embed_dim, relation_hidden, embed_dim), so
-        # its Linear consumes H_a + H_r and the final embedding is
-        # H_r + H_a + H_m.  Check the affine widths symbolically.
-        h_a = Dim("H_a", self.embed_dim) if self.embed_dim > 0 else None
-        h_r = (Dim("H_r", self.relation_hidden)
-               if self.relation_hidden > 0 else None)
-        if h_a is not None and h_r is not None:
-            joint_in = as_expr(h_a) + as_expr(h_r)
-            entity = as_expr(h_r) + as_expr(h_a) + as_expr(h_a)
-            if int(joint_in) != self.embed_dim + self.relation_hidden:
-                errors.append(
-                    f"joint-head input {joint_in!r} = {int(joint_in)} does "
-                    "not match embed_dim + relation_hidden")
-            if int(entity) != self.relation_hidden + 2 * self.embed_dim:
-                errors.append(
-                    f"final embedding {entity!r} = {int(entity)} does not "
-                    "match relation_hidden + 2 * embed_dim")
-
         if errors:
             details = "\n".join(f"  - {e}" for e in errors)
             raise ConstraintError(

@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..align.evaluator import evaluate_embeddings
+from ..align.evaluator import similarity_for_links
+from ..align.metrics import evaluate_similarity
 from ..analysis.anomaly import detect_anomaly
 from ..kg.pair import Link
 from ..nn import Adam, BestCheckpoint, Tensor, clip_grad_norm, no_grad
@@ -301,7 +302,8 @@ def train_relation_model(
                     v_tgt = np.array([e2 for _, e2 in valid_links], dtype=int)
                     emb1 = model.embed_entities(1, v_src)
                     emb2 = model.embed_entities(2, v_tgt)
-                    hits1 = _validation_hits1_arrays(emb1, emb2)
+                    hits1 = _validation_hits1(
+                        emb1, emb2, [(i, i) for i in range(len(emb1))])
                 else:
                     hits1 = (-float(np.mean(epoch_losses))
                              if epoch_losses else 0.0)
@@ -331,12 +333,9 @@ def train_relation_model(
 
 
 def _validation_hits1(h1: np.ndarray, h2: np.ndarray,
-                      valid_links: Sequence[Link]) -> float:
-    result = evaluate_embeddings(h1, h2, valid_links)
-    return result.metrics.hits_at_1
-
-
-def _validation_hits1_arrays(emb1: np.ndarray, emb2: np.ndarray) -> float:
-    links = [(i, i) for i in range(len(emb1))]
-    result = evaluate_embeddings(emb1, emb2, links)
-    return result.metrics.hits_at_1
+                      links: Sequence[Link]) -> float:
+    """Hits@1 of the validation links.  Ranked without
+    ``evaluate_embeddings``, whose ``eval`` event marks a test ranking;
+    the caller's ``validation`` event carries this score."""
+    similarity, targets = similarity_for_links(h1, h2, links)
+    return evaluate_similarity(similarity, targets).hits_at_1

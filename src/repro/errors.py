@@ -1,4 +1,4 @@
-"""The error the name registries raise (datasets, methods, baselines)."""
+"""Errors raised on bad input: unknown registry names and invalid configs."""
 
 from __future__ import annotations
 
@@ -20,3 +20,8 @@ class UnknownNameError(KeyError):
     def __str__(self) -> str:
         # KeyError's own __str__ would wrap the message in quotes.
         return self.args[0]
+
+
+class ConstraintError(ValueError):
+    """A config violates a dimension contract; raised at construction,
+    before any training step."""

@@ -12,9 +12,9 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from ..analysis.shapes.spec import shape_spec
 from .layers import Dropout, Linear
 from .module import Module
+from .spec import shape_spec
 from .tensor import Tensor, concatenate
 
 _NEG_INF = -1e9

@@ -1,11 +1,11 @@
 """One observer registry for the autograd engine and the module layer.
 
 Tools that watch training — the op profiler (:mod:`repro.obs.profile`),
-anomaly mode (:mod:`repro.analysis.anomaly`), the IR capture
-(:mod:`repro.analysis.ir.capture`) and the shape checker's spec
-verifier (:mod:`repro.analysis.shapes.spec`) — subclass
-:class:`Observer`, override the events they need and register an
-instance with :func:`register_observer`.  No tool replaces an engine
+anomaly mode (:mod:`repro.analysis.anomaly`) and the IR capture
+(:mod:`repro.analysis.ir.capture`), which also checks the layers'
+shape contracts (:mod:`repro.nn.spec`) — subclass :class:`Observer`,
+override the events they need and register an instance with
+:func:`register_observer`.  No tool replaces an engine
 method, so any number of them compose and leave in any order.
 
 The engine calls every registered observer, in registration order, at:

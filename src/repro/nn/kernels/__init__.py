@@ -21,8 +21,8 @@ The kernels switch on and off together::
 
 :func:`repro.experiments.run_experiment` trains and evaluates every
 method inside ``use_kernels()``.  Code that calls ``fit`` directly
-(``repro ir``, ``repro profile``, the shape checker) runs the composed
-reference ops, which the kernel tests compare against.
+(``repro ir``, ``repro profile``) runs the composed reference ops,
+which the kernel tests compare against.
 """
 
 from __future__ import annotations

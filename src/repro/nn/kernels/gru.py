@@ -191,28 +191,10 @@ def _gru_flops(operands, out) -> int:
     return numel(out) * (6 * int(operands[0][-1]) + 6 * int(out[-1]) + 22)
 
 
-def _gru_shape(ctx, x, w, u, b, *, mask, reverse):
-    if len(x.shape) != 3 or len(w.shape) != 2 or len(u.shape) != 2 \
-            or len(b.shape) != 1:
-        raise ctx.error(
-            f"GRU sequence needs x (B,T,D), w (D,3H), u (H,3H), b (3H,); got "
-            f"{', '.join(ctx.fmt(o.shape) for o in (x, w, u, b))}")
-    batch, steps, d_in = x.shape
-    hidden = u.shape[0]
-    gates = 3 * int(hidden)
-    if int(w.shape[0]) != int(d_in) or int(w.shape[1]) != gates \
-            or int(u.shape[1]) != gates or int(b.shape[0]) != gates:
-        raise ctx.error(
-            f"packed GRU weights must be (D,3H)/(H,3H)/(3H,) for "
-            f"H={hidden!r}; got w={ctx.fmt(w.shape)}, u={ctx.fmt(u.shape)}, "
-            f"b={ctx.fmt(b.shape)}")
-    return (batch, steps, hidden), x.dtype
-
-
 # The backward reads x (for dW) and both weight matrices; b only
 # lends its shape to db.
 GRU_SEQUENCE = defop("fused_gru_sequence", _gru_forward, _gru_vjp,
-                     _gru_flops, _gru_shape, saves=True, reads=(0, 1, 2))
+                     _gru_flops, saves=True, reads=(0, 1, 2))
 
 
 def fused_gru_sequence(x: Tensor, mask: Optional[np.ndarray], w: Tensor,

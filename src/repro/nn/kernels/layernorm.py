@@ -55,16 +55,11 @@ def _layer_norm_vjp(g, out, saved, x, gamma, beta, eps):
     return (gx, dgamma, dbeta)
 
 
-def _layer_norm_shape(ctx, x, gamma, beta, *, eps):
-    return ctx.broadcast(x.shape, gamma.shape, beta.shape), \
-        np.result_type(x.dtype, gamma.dtype, beta.dtype)
-
-
 # mean, center, square-mean, sqrt, divide, scale, shift: ~8 per element.
 # The backward reads gamma; x's intermediates come from ``saved``.
 LAYER_NORM = defop("fused_layer_norm", _layer_norm_forward, _layer_norm_vjp,
-                   lambda operands, out: 8 * numel(out), _layer_norm_shape,
-                   saves=True, reads=(1,))
+                   lambda operands, out: 8 * numel(out), saves=True,
+                   reads=(1,))
 
 
 def fused_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..ops import _unbroadcast, defop, in_elems, numel, same_shape
+from ..ops import _unbroadcast, defop, in_elems, numel
 from ..tensor import Tensor, apply
 
 __all__ = ["fused_softmax", "fused_log_softmax", "fused_cross_entropy"]
@@ -108,29 +108,21 @@ def _cross_entropy_vjp(g, out, saved, logits, targets, ignore_index):
     return (tmp,)
 
 
-def _cross_entropy_shape(ctx, logits, *, targets, ignore_index):
-    if len(logits.shape) != 2:
-        raise ctx.error(f"cross-entropy needs (N, C) logits, got "
-                        f"{ctx.fmt(logits.shape)}")
-    return (), logits.dtype
-
-
 # FLOPs mirror the composed decompositions the kernels replace: max,
 # subtract, exp, sum, divide (softmax, 5 per element); log-softmax adds
 # a log (6); cross-entropy is dominated by its logits' log-softmax.
 # Each backward reads only its saved buffers.
 SOFTMAX = defop("fused_softmax", _softmax_forward, _softmax_vjp,
-                lambda operands, out: 5 * numel(out), same_shape, saves=True,
-                reads=())
+                lambda operands, out: 5 * numel(out), saves=True, reads=())
 
 LOG_SOFTMAX = defop("fused_log_softmax", _log_softmax_forward,
                     _log_softmax_vjp, lambda operands, out: 6 * numel(out),
-                    same_shape, saves=True, reads=())
+                    saves=True, reads=())
 
 CROSS_ENTROPY = defop("fused_cross_entropy", _cross_entropy_forward,
                       _cross_entropy_vjp,
                       lambda operands, out: 6 * in_elems(operands, out),
-                      _cross_entropy_shape, saves=True, reads=())
+                      saves=True, reads=())
 
 
 def fused_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from ..analysis.shapes.spec import shape_spec
 from .kernels import fused_layer_norm, kernel_active
 from .module import Module, ModuleList, Parameter
+from .spec import shape_spec
 from .tensor import Tensor
 
 

@@ -15,17 +15,13 @@ pattern.  A record holds
   operand positions, and ``"out"`` for the op's own output.  It may
   still use any operand's shape.  The IR's liveness planner (G001)
   frees a buffer once no VJP that reads it is left to run;
-* ``flops(operand_shapes, out_shape)`` — the analytic FLOP estimate;
-* ``shape(ctx, *operands, **attrs)`` — the symbolic shape/dtype rule the
-  shape checker runs (``ctx`` is its
-  :class:`~repro.analysis.shapes.abstract.RuleContext`; each operand has
-  ``shape``, ``dtype`` and ``probe``).  It returns ``(shape, dtype)``.
+* ``flops(operand_shapes, out_shape)`` — the analytic FLOP estimate.
 
 Everything else is derived from the table: ``Tensor``'s op methods and
 ``concatenate``/``stack``/``where`` apply records through one
-``Tensor._apply``, the abstract tensor overrides that one method, the
-profiler and the IR read ``name``/``flops``/attributes off the recorded
-call, and replay re-runs ``forward`` and ``vjp`` on snapshot arrays.
+:func:`repro.nn.tensor.apply`, the profiler and the IR read
+``name``/``flops``/attributes off the recorded call, and replay re-runs
+``forward`` and ``vjp`` on snapshot arrays.
 The composed ops live here; the fused kernels register beside their
 math in :mod:`repro.nn.kernels`.
 
@@ -70,7 +66,6 @@ class Op:
     forward: Optional[Callable]
     vjp: Callable
     flops: Callable[[Sequence[Shape], Shape], int]
-    shape: Optional[Callable]
     saves: bool = False
     #: ``None``: not declared, so every operand and the output count
     #: as read.
@@ -82,13 +77,12 @@ OPS: Dict[str, Op] = {}
 
 
 def defop(name: str, forward: Callable, vjp: Callable, flops: Callable,
-          shape: Callable, saves: bool = False, *,
+          saves: bool = False, *,
           reads: Tuple[Union[int, str], ...]) -> Op:
     """Register one primitive and return its record."""
     if name in OPS:
         raise ValueError(f"op {name!r} is already registered")
-    op = OPS[name] = Op(name, forward, vjp, flops, shape, saves,
-                        tuple(reads))
+    op = OPS[name] = Op(name, forward, vjp, flops, saves, tuple(reads))
     return op
 
 
@@ -157,190 +151,39 @@ def _zero(operands: Sequence[Shape], out: Shape) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Shape rules (run by the shape checker over symbolic shapes)
-# ---------------------------------------------------------------------- #
-def _pointwise_shape(ctx, *operands, **attrs):
-    """Broadcast the operands; the dtype is the forward's on 0-d probes."""
-    return ctx.broadcast(*(o.shape for o in operands)), \
-        ctx.dtype(operands, attrs)
-
-
-def _where_shape(ctx, a, b, *, condition):
-    shape = ctx.broadcast(ctx.resym(np.shape(condition)), a.shape, b.shape)
-    return shape, np.result_type(a.dtype, b.dtype)
-
-
-def _matmul_shape(ctx, a, b):
-    x, y = list(a.shape), list(b.shape)
-    if not x or not y:
-        raise ctx.error(f"matmul requires at least 1-d operands: "
-                        f"{ctx.fmt(a.shape)} @ {ctx.fmt(b.shape)}")
-    x_vec, y_vec = len(x) == 1, len(y) == 1
-    if x_vec:
-        x = [1] + x
-    if y_vec:
-        y = y + [1]
-    if int(x[-1]) != int(y[-2]):
-        raise ctx.error(
-            f"matmul inner dimensions differ: {x[-1]!r} (= {int(x[-1])}) "
-            f"vs {y[-2]!r} (= {int(y[-2])}) in "
-            f"{ctx.fmt(a.shape)} @ {ctx.fmt(b.shape)}")
-    shape = list(ctx.broadcast(tuple(x[:-2]), tuple(y[:-2]))) + [x[-2], y[-1]]
-    if y_vec:
-        shape = shape[:-1]
-    if x_vec:
-        shape = shape[:-2] + shape[-1:] if not y_vec else shape[:-1]
-    return tuple(shape), np.result_type(a.dtype, b.dtype)
-
-
-def _transpose_shape(ctx, a, *, axes):
-    return tuple(a.shape[i] for i in axes), a.dtype
-
-
-def _swapaxes_shape(ctx, a, *, axis1, axis2):
-    shape = list(a.shape)
-    shape[axis1], shape[axis2] = shape[axis2], shape[axis1]
-    return tuple(shape), a.dtype
-
-
-def _reshape_shape(ctx, a, *, shape):
-    total = numel(a.shape)
-    entries = list(shape)
-    hole, known = None, 1
-    for i, entry in enumerate(entries):
-        if int(entry) == -1:
-            if hole is not None:
-                raise ctx.error("reshape: more than one -1")
-            hole = i
-        else:
-            known *= int(entry)
-    if hole is not None:
-        if known == 0 or total % known != 0:
-            raise ctx.error(f"cannot reshape {ctx.fmt(a.shape)} (size {total}) "
-                            f"into {ctx.fmt(tuple(entries))}")
-        entries[hole] = total // known
-        known *= entries[hole]
-    if known != total:
-        raise ctx.error(f"cannot reshape {ctx.fmt(a.shape)} (size {total}) into "
-                        f"{ctx.fmt(tuple(entries))} (size {known})")
-    return tuple(entries), a.dtype
-
-
-def _reduce_shape(ctx, a, *, axis, keepdims):
-    nd = len(a.shape)
-    if axis is None:
-        axes = set(range(nd))
-    else:
-        axes = {ax % nd for ax in ((axis,) if isinstance(axis, int) else axis)}
-    shape = tuple(1 if i in axes else entry
-                  for i, entry in enumerate(a.shape)
-                  if i not in axes or keepdims)
-    probe = ctx.op.forward(np.ones((1,), a.dtype), axis=None, keepdims=False)
-    return shape, np.asarray(probe).dtype
-
-
-def _getitem_shape(ctx, a, *, index):
-    # numpy validates the index on the zero-stride witness.
-    witness = np.broadcast_to(np.zeros((), a.dtype),
-                              tuple(int(e) for e in a.shape))
-    out = witness[index]
-    items = list(index) if isinstance(index, tuple) else [index]
-    if not all(isinstance(e, (int, np.integer, slice)) or e is Ellipsis
-               for e in items):
-        # Advanced indexing: resymbolize the witness result.
-        return ctx.resym(out.shape), a.dtype
-    if Ellipsis in items:
-        pos = items.index(Ellipsis)
-        fill = len(a.shape) - (len(items) - 1)
-        items = items[:pos] + [slice(None)] * fill + items[pos + 1:]
-    shape = []
-    for axis, item in enumerate(items):
-        entry = a.shape[axis]
-        if isinstance(item, slice):
-            if item == slice(None):
-                shape.append(entry)
-            else:
-                shape.append(len(range(*item.indices(int(entry)))))
-        # an integer index drops the axis
-    shape.extend(a.shape[len(items):])
-    return tuple(shape), a.dtype
-
-
-def _take_shape(ctx, a, *, indices, axis):
-    axis = axis % len(a.shape)
-    return (a.shape[:axis] + ctx.resym(np.shape(indices))
-            + a.shape[axis + 1:]), a.dtype
-
-
-def _concatenate_shape(ctx, *parts, axis):
-    shapes = [p.shape for p in parts]
-    nd = len(shapes[0])
-    if any(len(s) != nd for s in shapes):
-        raise ctx.error("concatenate: operands have different ranks: "
-                        + ", ".join(ctx.fmt(s) for s in shapes))
-    axis = axis % nd
-    shape = []
-    for i in range(nd):
-        entries = [s[i] for s in shapes]
-        if i == axis:
-            shape.append(ctx.total(entries))
-        elif len({int(e) for e in entries}) != 1:
-            raise ctx.error(f"concatenate: non-axis dimension {i} differs: "
-                            + ", ".join(ctx.fmt(s) for s in shapes))
-        else:
-            shape.append(ctx.pick(entries))
-    return tuple(shape), np.result_type(*(p.dtype for p in parts))
-
-
-def _stack_shape(ctx, *parts, axis):
-    shapes = [p.shape for p in parts]
-    if len({tuple(int(e) for e in s) for s in shapes}) != 1:
-        raise ctx.error("stack: operands have different shapes: "
-                        + ", ".join(ctx.fmt(s) for s in shapes))
-    shape = [ctx.pick([s[i] for s in shapes]) for i in range(len(shapes[0]))]
-    shape.insert(axis % (len(shape) + 1), ctx.resym((len(parts),))[0])
-    return tuple(shape), np.result_type(*(p.dtype for p in parts))
-
-
-def same_shape(ctx, x, **attrs):
-    """Rule of an op whose output is shaped and typed like its operand."""
-    return x.shape, x.dtype
-
-
-# ---------------------------------------------------------------------- #
 # Elementwise arithmetic
 # ---------------------------------------------------------------------- #
 ADD = defop(
     "add", operator.add,
     lambda g, out, saved, a, b: (_unbroadcast(g, a.shape),
                                  _unbroadcast(g, b.shape)),
-    _out_elems, _pointwise_shape, reads=())
+    _out_elems, reads=())
 
 SUB = defop(
     "sub", operator.sub,
     lambda g, out, saved, a, b: (_unbroadcast(g, a.shape),
                                  _unbroadcast(-g, b.shape)),
-    _out_elems, _pointwise_shape, reads=())
+    _out_elems, reads=())
 
 MUL = defop(
     "mul", operator.mul,
     lambda g, out, saved, a, b: (_unbroadcast(g * b, a.shape),
                                  _unbroadcast(g * a, b.shape)),
-    _out_elems, _pointwise_shape, reads=(0, 1))
+    _out_elems, reads=(0, 1))
 
 DIV = defop(
     "div", operator.truediv,
     lambda g, out, saved, a, b: (_unbroadcast(g / b, a.shape),
                                  _unbroadcast(-g * a / (b**2), b.shape)),
-    _out_elems, _pointwise_shape, reads=(0, 1))
+    _out_elems, reads=(0, 1))
 
 NEG = defop("neg", operator.neg, lambda g, out, saved, a: (-g,),
-            _out_elems, _pointwise_shape, reads=())
+            _out_elems, reads=())
 
 POW = defop(
     "pow", lambda a, exponent: a**exponent,
     lambda g, out, saved, a, exponent: (g * exponent * a ** (exponent - 1),),
-    _out_elems, _pointwise_shape, reads=(0,))
+    _out_elems, reads=(0,))
 
 
 # ---------------------------------------------------------------------- #
@@ -367,22 +210,22 @@ def _matmul_vjp(g, out, saved, a, b):
 
 
 MATMUL = defop("matmul", operator.matmul, _matmul_vjp, _matmul_flops,
-               _matmul_shape, reads=(0, 1))
+               reads=(0, 1))
 
 TRANSPOSE = defop(
     "transpose", lambda a, axes: np.transpose(a, axes),
     lambda g, out, saved, a, axes: (np.transpose(g, np.argsort(axes)),),
-    _zero, _transpose_shape, reads=())
+    _zero, reads=())
 
 SWAPAXES = defop(
     "swapaxes", lambda a, axis1, axis2: np.swapaxes(a, axis1, axis2),
     lambda g, out, saved, a, axis1, axis2: (np.swapaxes(g, axis1, axis2),),
-    _zero, _swapaxes_shape, reads=())
+    _zero, reads=())
 
 RESHAPE = defop(
     "reshape", lambda a, shape: a.reshape(shape),
     lambda g, out, saved, a, shape: (g.reshape(a.shape),),
-    _zero, _reshape_shape, reads=())
+    _zero, reads=())
 
 
 # ---------------------------------------------------------------------- #
@@ -418,14 +261,14 @@ def _max_vjp(g, out, saved, a, axis, keepdims):
 
 
 SUM = defop("sum", lambda a, axis, keepdims: a.sum(axis=axis, keepdims=keepdims),
-            _sum_vjp, in_elems, _reduce_shape, reads=())
+            _sum_vjp, in_elems, reads=())
 
 MEAN = defop("mean",
              lambda a, axis, keepdims: a.mean(axis=axis, keepdims=keepdims),
-             _mean_vjp, _mean_flops, _reduce_shape, reads=())
+             _mean_vjp, _mean_flops, reads=())
 
 MAX = defop("max", lambda a, axis, keepdims: a.max(axis=axis, keepdims=keepdims),
-            _max_vjp, in_elems, _reduce_shape, reads=(0, "out"))
+            _max_vjp, in_elems, reads=(0, "out"))
 
 
 # ---------------------------------------------------------------------- #
@@ -445,32 +288,32 @@ def _relu(a):
 
 
 EXP = defop("exp", np.exp, lambda g, out, saved, a: (g * out,),
-            _out_elems, _pointwise_shape, reads=("out",))
+            _out_elems, reads=("out",))
 
 LOG = defop("log", np.log, lambda g, out, saved, a: (g / a,),
-            _out_elems, _pointwise_shape, reads=(0,))
+            _out_elems, reads=(0,))
 
 SQRT = defop("sqrt", np.sqrt, lambda g, out, saved, a: (g / (2.0 * out),),
-             _out_elems, _pointwise_shape, reads=("out",))
+             _out_elems, reads=("out",))
 
 TANH = defop("tanh", np.tanh, lambda g, out, saved, a: (g * (1.0 - out**2),),
-             _out_elems_x4, _pointwise_shape, reads=("out",))
+             _out_elems_x4, reads=("out",))
 
 SIGMOID = defop("sigmoid", _sigmoid,
                 lambda g, out, saved, a: (g * out * (1.0 - out),),
-                _out_elems_x4, _pointwise_shape, reads=("out",))
+                _out_elems_x4, reads=("out",))
 
 RELU = defop("relu", _relu, lambda g, out, mask, a: (g * mask,),
-             _out_elems, _pointwise_shape, saves=True, reads=())
+             _out_elems, saves=True, reads=())
 
 ABS = defop("abs", np.abs, lambda g, out, saved, a: (g * np.sign(a),),
-            _out_elems, _pointwise_shape, reads=(0,))
+            _out_elems, reads=(0,))
 
 # Elementwise ``max(x, minimum)``; used for hinge losses.
 CLIP_MIN = defop(
     "clip_min", lambda a, minimum: np.maximum(a, minimum),
     lambda g, out, saved, a, minimum: (g * (a > minimum),),
-    _out_elems, _pointwise_shape, reads=(0,))
+    _out_elems, reads=(0,))
 
 
 # ---------------------------------------------------------------------- #
@@ -528,21 +371,21 @@ def _where_vjp(g, out, saved, a, b, condition):
 
 
 GETITEM = defop("getitem", lambda a, index: a[index], _getitem_vjp,
-                _zero, _getitem_shape, reads=())
+                _zero, reads=())
 
 TAKE = defop("take", lambda a, indices, axis: np.take(a, indices, axis=axis),
-             _take_vjp, _zero, _take_shape, reads=())
+             _take_vjp, _zero, reads=())
 
 CONCATENATE = defop(
     "concatenate", lambda *parts, axis: np.concatenate(parts, axis=axis),
-    _concatenate_vjp, _zero, _concatenate_shape, reads=())
+    _concatenate_vjp, _zero, reads=())
 
 STACK = defop(
     "stack", lambda *parts, axis: np.stack(parts, axis=axis),
     lambda g, out, saved, *parts, axis: tuple(
         np.take(g, i, axis=axis) for i in range(len(parts))),
-    _zero, _stack_shape, reads=())
+    _zero, reads=())
 
 WHERE = defop(
     "where", lambda a, b, condition: np.where(condition, a, b), _where_vjp,
-    _out_elems, _where_shape, reads=())
+    _out_elems, reads=())

@@ -19,9 +19,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import init
-from ..analysis.shapes.spec import shape_spec
 from .kernels import fused_gru_sequence, kernel_active
 from .module import Module, Parameter
+from .spec import shape_spec
 from .tensor import DEFAULT_DTYPE, Tensor, concatenate, stack, where
 
 

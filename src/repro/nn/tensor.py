@@ -179,20 +179,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Autograd machinery
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _apply(op: Op, operands: tuple, attrs: dict) -> "Tensor":
-        """Run the registered ``op`` eagerly and record it in the graph.
-
-        Reached through :func:`apply`; a subclass that overrides this
-        one method (the shape checker's abstract tensor) takes over
-        every op.
-        """
-        inputs = tuple([value if isinstance(value, Tensor) else Tensor(value)
-                        for value in operands])
-        result = op.forward(*[t.data for t in inputs], **attrs)
-        data, saved = result if op.saves else (result, None)
-        return _record(op, attrs, saved, data, inputs)
-
     def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
                     backward: Callable[[np.ndarray], tuple]) -> "Tensor":
         """Record an op outside the registry.
@@ -435,10 +421,10 @@ class OpCall:
 
 
 #: The op of a ``Tensor._make_child`` node: its one attribute is the
-#: hand-written backward, and it has no forward, FLOP or shape rule.
+#: hand-written backward, and it has no forward or FLOP formula.
 OPAQUE = Op("opaque", forward=None,
             vjp=lambda g, out, saved, *inputs, backward: backward(g),
-            flops=lambda operands, out: 0, shape=None)
+            flops=lambda operands, out: 0)
 
 
 def _record(op: Op, attrs: dict, saved, data, inputs: tuple) -> Tensor:
@@ -463,20 +449,13 @@ def _record(op: Op, attrs: dict, saved, data, inputs: tuple) -> Tensor:
 
 
 def apply(op: Op, *operands, **attrs) -> Tensor:
-    """Apply the registered ``op`` to ``operands`` with ``attrs``.
-
-    The first operand whose class overrides ``Tensor._apply`` (the shape
-    checker's abstract tensor) runs it, so an expression mixing real and
-    abstract operands stays abstract; otherwise the eager engine does.
-    """
-    for value in operands:
-        impl = getattr(type(value), "_apply", _eager_apply)
-        if impl is not _eager_apply:
-            return impl(op, operands, attrs)
-    return _eager_apply(op, operands, attrs)
-
-
-_eager_apply = Tensor._apply
+    """Run the registered ``op`` on ``operands`` with ``attrs`` and
+    record it in the graph."""
+    inputs = tuple([value if isinstance(value, Tensor) else Tensor(value)
+                    for value in operands])
+    result = op.forward(*[t.data for t in inputs], **attrs)
+    data, saved = result if op.saves else (result, None)
+    return _record(op, attrs, saved, data, inputs)
 
 
 def _raw(value) -> np.ndarray:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from ..analysis.shapes.spec import shape_spec
 from .attention import MultiHeadSelfAttention, TokenLayout
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module, ModuleList
+from .spec import shape_spec
 from .tensor import Tensor
 
 

@@ -212,48 +212,3 @@ class TestUsageErrors:
             argv += ["--runs-dir", str(tmp_path)]
         assert main(argv) != 0
         assert message in capsys.readouterr().err
-
-
-class TestShapeCheckCommand:
-    def test_single_method_text(self, capsys):
-        assert main(["shape-check", "--method", "sdea"]) == 0
-        out = capsys.readouterr().out
-        assert "== sdea == ok" in out
-        assert "0 findings across 1 method(s)" in out
-        assert "shape-checked 1 methods" in out
-
-    def test_all_methods_are_clean(self, capsys):
-        from repro.experiments import available_methods
-
-        assert main(["shape-check"]) == 0
-        out = capsys.readouterr().out
-        assert f"0 findings across {len(available_methods())} method(s)" in out
-
-    def test_json_format(self, capsys):
-        import json
-
-        assert main(["shape-check", "--method", "mtranse",
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["methods_checked"] == 1
-        assert payload["counts"] == {}
-        assert payload["methods"][0]["method"] == "mtranse"
-
-    def test_select_and_ignore_are_accepted(self, capsys):
-        assert main(["shape-check", "--method", "gcn",
-                     "--select", "S001", "S002",
-                     "--ignore", "S003"]) == 0
-        assert "== gcn == ok" in capsys.readouterr().out
-
-    def test_unknown_method_fails(self, capsys):
-        assert main(["shape-check", "--method", "not-a-method"]) == 1
-        assert "unknown method" in capsys.readouterr().err
-
-    def test_records_runtime_metric(self):
-        from repro.obs import Registry, use_registry
-
-        registry = Registry()
-        with use_registry(registry):
-            main(["shape-check", "--method", "mtranse"])
-        snapshot = registry.snapshot()
-        assert any("shapecheck_seconds" in name for name in snapshot)

@@ -105,7 +105,7 @@ class TestThreadSafetyPins:
         assert kernel_active() is False
 
     def test_signature_cache_is_locked_and_bounded(self):
-        from repro.analysis.shapes.spec import (
+        from repro.nn.spec import (
             _SIG_CACHE_MAX,
             _bind_arguments,
             _signature_cache,

@@ -3,7 +3,8 @@
 The gradient passes (G007–G013) carry the graph checks: hypothesis
 properties compose random op chains and assert that reachable
 parameters always get gradients and that a detached loss or an unused
-optimizer parameter is always flagged.
+optimizer parameter is always flagged.  G014 reports the module calls
+of a captured step that break their layer's ``@shape_spec``.
 """
 
 import json
@@ -26,9 +27,10 @@ from repro.analysis.ir import (
 )
 from repro.cli import main
 from repro.experiments.methods import available_methods
-from repro.nn import SGD, Linear, Parameter, Tensor, hooks
+from repro.nn import SGD, Linear, Module, Parameter, Tensor, hooks
 from repro.nn.kernels import use_kernels
 from repro.nn.layers import MLP
+from repro.nn.spec import shape_spec
 from repro.obs.profile import OpProfiler
 
 # Ops whose arbitrary composition keeps values (and therefore gradients)
@@ -179,8 +181,8 @@ class TestReplay:
 
 
 class TestPasses:
-    def test_catalogue_covers_g001_to_g013(self):
-        assert sorted(G_CODES) == [f"G{i:03d}" for i in range(1, 14)]
+    def test_catalogue_covers_g001_to_g014(self):
+        assert sorted(G_CODES) == [f"G{i:03d}" for i in range(1, 15)]
 
     def _codes(self, capture, **kw):
         return [f.code for f in run_passes(capture, **kw).findings]
@@ -429,6 +431,76 @@ class TestGradientChecks:
         findings = _gradient_findings(lambda: (p * stray).sum(),
                                       params=(p,))
         assert "G009" in _codes_with(findings, "warning")
+
+
+class WidthHead(Module):
+    """Declares ``out_features`` = 8 wide outputs; returns ``width``."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.in_features = 4
+        self.out_features = 8
+        self.weight = Parameter(np.ones((4, width)))
+
+    @shape_spec(x="* in_features", returns="* out_features")
+    def forward(self, x):
+        return x @ self.weight
+
+
+class Wrapper(Module):
+    def __init__(self, width):
+        super().__init__()
+        self.head = WidthHead(width)
+
+    def forward(self, x):
+        return self.head(x)
+
+
+def _spec_capture(width):
+    model = Wrapper(width)
+    x = Tensor(np.ones((3, 4)))
+
+    def step():
+        model.head.weight.grad = None
+        model(x).sum().backward()
+
+    return _two_steps(step)
+
+
+def _g014(capture, **kw):
+    return [f for f in run_passes(capture, **kw).findings
+            if f.code == "G014"]
+
+
+class TestShapeContracts:
+    def test_undeclared_width_is_one_error(self):
+        (finding,) = _g014(_spec_capture(7))
+        assert finding.severity == "error"
+        assert finding.kind == "spec-violation"
+        assert finding.where == "Wrapper/WidthHead"
+        assert "WidthHead.forward return: axis 'out_features' expected 8, " \
+            "got 7" in finding.message
+
+    def test_declared_width_is_clean(self):
+        capture = _spec_capture(8)
+        assert capture.spec_violations == []
+        assert _g014(capture) == []
+
+    def test_select_and_ignore_filter_g014(self):
+        capture = _spec_capture(7)
+        assert {f.code for f in run_passes(capture, select=["G014"])
+                .findings} == {"G014"}
+        assert _g014(capture, ignore=["g014"]) == []
+
+    def test_cli_select_and_ignore(self, monkeypatch, capsys):
+        capture = _spec_capture(7)
+        monkeypatch.setattr("repro.analysis.ir.capture_method",
+                            lambda name: [capture])
+        assert main(["ir", "--method", "mtranse", "--select", "G014"]) == 1
+        out = capsys.readouterr().out
+        assert "[error] G014 spec-violation" in out and "G001" not in out
+        assert main(["ir", "--method", "mtranse", "--ignore", "G014"]) == 0
+        assert "G014" not in capsys.readouterr().out
 
 
 class TestMemoryPlan:

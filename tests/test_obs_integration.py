@@ -79,8 +79,8 @@ class TestCliTraceSmoke:
 
 
 class TestSdeaInstrumentation:
-    """A tiny SDEA fit populates TrainLog extensions, metrics, spans and
-    a live telemetry stream."""
+    """A tiny SDEA fit and test ranking populate TrainLog extensions,
+    metrics, spans and a live telemetry stream."""
 
     @pytest.fixture(scope="class")
     def fitted(self, request, tmp_path_factory):
@@ -98,6 +98,7 @@ class TestSdeaInstrumentation:
         with obs.session(runs_dir=None) as sess, use_stream(stream):
             model = SDEA(config)
             result = model.fit(tiny_pair, tiny_split)
+            model.evaluate(tiny_split.test)
         stream.close()
         return sess, result, obs.read_stream(stream.path)
 
@@ -144,6 +145,14 @@ class TestSdeaInstrumentation:
             last_hits1 = validations[-1]["hits1"] if validations else None
             assert registry.gauge("trainer.valid_hits1").value(
                 phase=phase) == last_hits1
+
+    def test_only_the_test_ranking_is_an_eval_event(self, fitted):
+        """Alg.-2/3 validation scores travel as `validation` events."""
+        sess, result, events = fitted
+        assert result.attribute_log.valid_hits1
+        assert result.relation_log.valid_hits1
+        assert [e["event"] for e in events].count("eval") == 1
+        assert sess.registry.counter("eval.rankings").value() == 1
 
     def test_every_epoch_event_carries_a_finite_grad_norm(self, fitted):
         """MLM included: the health rules on grad_norm see every phase."""

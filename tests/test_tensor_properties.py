@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.tensor import _unbroadcast
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -106,3 +107,22 @@ def test_add_commutes(a, b):
     left = (Tensor(a) + Tensor(b)).data
     right = (Tensor(b) + Tensor(a)).data
     np.testing.assert_array_equal(left, right)
+
+
+broadcast_shapes = st.lists(st.sampled_from([1, 2, 3, 5]), min_size=0,
+                            max_size=4).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=broadcast_shapes, b=broadcast_shapes)
+def test_unbroadcast_restores_operand_shapes(a, b):
+    # The gradient half of broadcasting: whatever shape numpy gives
+    # a + b, _unbroadcast must fold a cotangent of that shape back onto
+    # each operand exactly.
+    try:
+        out_shape = np.broadcast_shapes(a, b)
+    except ValueError:
+        return
+    grad = np.ones(out_shape)
+    assert _unbroadcast(grad, a).shape == a
+    assert _unbroadcast(grad, b).shape == b
