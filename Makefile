@@ -28,8 +28,8 @@ obs-demo:
 	PYTHONPATH=src python -m repro.cli obs --no-metrics
 
 # Telemetry pipeline end-to-end: two tiny seeded runs with health rules
-# armed, then assert bitwise-equal metrics, well-formed stream/prom
-# files and zero health alerts (part of `make check`).
+# armed, then assert bitwise-equal metrics, one stream per record under
+# the record's stem and zero health alerts (part of `make check`).
 obs-check:
 	python benchmarks/obs_check.py
 

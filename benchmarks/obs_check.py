@@ -1,15 +1,17 @@
 """End-to-end smoke of the observability/telemetry stack.
 
 Runs the fast TransE baseline twice on the tiny srprs/dbp_yg pair inside
-a telemetry-enabled session (health rules armed), then asserts the whole
+a recording session (health rules armed), then asserts the whole
 pipeline held together:
 
 * both runs streamed epoch / eval / run_end events and wrote a run
   record carrying the telemetry digest;
+* each record's stream is ``<record stem>-stream.jsonl``, and the runs
+  directory holds no other run files (no ``live-*`` stream, no
+  ``.prom`` file);
 * each record's ``trainer.epochs{phase="transe"}`` series equals the
   number of ``epoch`` events in its stream (``telemetry.emit`` derives
   the one from the other);
-* the Prometheus exposition file exists and parses line-wise;
 * ``diff_records`` between the two seeded runs reports bitwise-zero
   headline metric deltas and an identical loss trajectory;
 * zero health alerts fired (the tiny run is healthy by construction) —
@@ -54,8 +56,7 @@ def fail(message: str):
 def one_run(runs_dir: str):
     pair = build_dataset(DATASET)
     split = pair.split()
-    with obs.session(runs_dir=runs_dir, health_rules=RULES,
-                     snapshot_seconds=0.5) as sess:
+    with obs.session(runs_dir=runs_dir, health_rules=RULES) as sess:
         result = run_experiment(METHOD, pair, split)
     if result.record_path is None:
         fail("run wrote no record")
@@ -83,13 +84,17 @@ def main() -> int:
             digest = record.telemetry
             if not digest.get("stream") or not digest.get("events"):
                 fail(f"{record_path.name}: empty telemetry digest {digest}")
+            expected_name = record_path.stem + "-stream.jsonl"
+            if digest["stream"] != expected_name:
+                fail(f"{record_path.name}: stream is {digest['stream']!r}, "
+                     f"not {expected_name!r}")
             stream = record_path.with_name(str(digest["stream"]))
             if not stream.exists():
                 fail(f"missing stream file {stream.name}")
             events = obs.read_stream(stream)
             kinds = {e.get("event") for e in events}
             for expected in ("run_start", "epoch", "eval", "run_end",
-                             "metrics_snapshot", "stream_end"):
+                             "stream_end"):
                 if expected not in kinds:
                     fail(f"{stream.name}: no {expected!r} event")
             streamed = sum(e.get("event") == "epoch" for e in events)
@@ -101,12 +106,11 @@ def main() -> int:
                 fail(f"{record_path.name}: trainer.epochs{{phase=transe}} "
                      f"is {derived}, but the stream holds {streamed} "
                      "epoch events")
-            prom = record_path.with_suffix(".prom")
-            if not prom.exists():
-                fail(f"missing Prometheus exposition {prom.name}")
-            for line in prom.read_text().splitlines():
-                if line and not line.startswith("#") and " " not in line:
-                    fail(f"{prom.name}: malformed exposition line {line!r}")
+        strays = sorted(p.name for p in Path(tmp).iterdir()
+                        if p.name.startswith("live-")
+                        or p.name.endswith(".prom"))
+        if strays:
+            fail(f"stray run files in the runs directory: {strays}")
 
         diff = diff_records(records[0], records[1])
         if not diff.results_identical:
@@ -118,7 +122,7 @@ def main() -> int:
             print(format_diff_text(diff), file=sys.stderr)
             fail("seeded reruns produced diverging loss trajectories")
 
-    print("obs-check: OK - two telemetry-enabled runs, bitwise-equal "
+    print("obs-check: OK - two recorded runs, bitwise-equal "
           "metrics, zero health alerts")
     return 0
 

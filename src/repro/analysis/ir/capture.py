@@ -138,12 +138,11 @@ class IRCapture(Observer):
     def module_entered(self, module, args, kwargs) -> None:
         self._paths.push(module)
 
-    def module_exited(self, module, args, kwargs, out):
+    def module_exited(self, module, args, kwargs, out) -> None:
         if not self._done:
             for message in check_call(module, args, kwargs, out):
                 self._violations[self._paths.path(), message] = None
         self._paths.pop()
-        return out
 
     def optimizer_created(self, optimizer) -> None:
         self.param_groups.append(list(optimizer.parameters))

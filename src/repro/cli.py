@@ -10,7 +10,7 @@ Usage (installed as the ``repro`` console script)::
     repro obs list                      # one row per run record
     repro obs diff                      # latest two runs, per-metric deltas
     repro obs compare a b c             # N-way results table
-    repro obs watch                     # tail the live telemetry stream
+    repro obs watch                     # tail the newest run's live stream
     repro obs prune --keep 20           # cap retained run records
     repro obs rules                     # health-rule check vocabulary
     repro obs --chrome-trace out.json   # span data -> Perfetto trace
@@ -117,7 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             except (OSError, RuleError) as exc:
                 print(f"cannot load health rules: {exc}", file=sys.stderr)
                 return 2
-    telemetry_on = args.telemetry or rule_texts is not None
     if args.capture_ir:
         from .analysis.ir import IRCapture
         ir_ctx = IRCapture()
@@ -125,7 +124,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ir_ctx = nullcontext()
     from .analysis.anomaly import AnomalyError
     with obs.session(runs_dir=args.runs_dir, profile=args.profile,
-                     telemetry=telemetry_on,
                      health_rules=rule_texts) as sess, \
             anomaly_ctx, ir_ctx:
         try:
@@ -164,7 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"peak {result.peak_tensor_bytes} live tensor bytes")
     if result.record_path is not None:
         print(f"run record: {result.record_path}")
-    if telemetry_on and sess.last_stream_path is not None:
+    if sess.last_stream_path is not None:
         print(f"telemetry stream: {sess.last_stream_path}")
     _print_health(result.health)
     if args.health_gate and result.health \
@@ -301,9 +299,8 @@ def _obs_watch(args: argparse.Namespace) -> int:
     stream = Path(args.stream) if args.stream \
         else telemetry_mod.latest_stream(args.runs_dir)
     if stream is None or not stream.exists():
-        print(f"no telemetry stream under {args.runs_dir!r}; run with "
-              "`repro run --telemetry` (or --health-gate) first",
-              file=sys.stderr)
+        print(f"no telemetry stream under {args.runs_dir!r}; "
+              "use `repro run` to create one", file=sys.stderr)
         return 1
     if args.once:
         events = telemetry_mod.read_stream(stream)
@@ -583,25 +580,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "FLOP estimates, forward/backward split, "
                           "chrome trace next to the run record")
     run.add_argument("--runs-dir", default=obs.DEFAULT_RUNS_DIR,
-                     help="directory for structured run records")
-    run.add_argument("--telemetry", action="store_true",
-                     help="stream live epoch/eval events to a tail-able "
-                          "JSONL file next to the run record (plus a "
-                          "Prometheus .prom exposition file); watch with "
-                          "`repro obs watch`")
+                     help="directory for the run record and its live "
+                          "telemetry stream (`repro obs watch`)")
     run.add_argument("--health-gate", action="store_true",
                      help="evaluate health rules online (defaults: "
                           "loss/grad_norm nonfinite + grad spike) and "
-                          "exit nonzero on any fail alert; implies "
-                          "--telemetry")
+                          "exit nonzero on any fail alert")
     run.add_argument("--capture-ir", action="store_true",
                      help="capture one step of each training phase into "
                           "the analysis IR and print the G-finding reports "
                           "after the run (see `repro ir`)")
     run.add_argument("--health-rules", default=None, metavar="RULES.toml",
                      help="TOML file with a top-level `rules` string "
-                          "array (see `repro obs rules`); implies "
-                          "--telemetry")
+                          "array (see `repro obs rules`)")
     run.set_defaults(func=_cmd_run)
 
     obs_cmd = sub.add_parser(

@@ -56,12 +56,6 @@ class SDEAConfig:
         the numeric values separately" direction): appends a weighted
         random-Fourier embedding of each entity's numeric values to the
         final embedding.
-    health_rules:
-        Declarative health rules (see :mod:`repro.obs.health`) armed
-        whenever this config trains inside a telemetry-enabled
-        observability session, e.g. ``("loss.nonfinite",
-        "hits@1.drop(vs=baseline, abs=0.02)")``.  Merged after any
-        session-level rules; validated at construction time.
     detect_anomaly:
         Run both training phases under the
         :mod:`repro.analysis.anomaly` sanitizer: every op records its
@@ -99,7 +93,6 @@ class SDEAConfig:
     numeric_channel: bool = False
     numeric_dim: int = 32
     numeric_weight: float = 0.3
-    health_rules: tuple = ()
     detect_anomaly: bool = False
     seed: int = 17
 
@@ -143,12 +136,6 @@ class SDEAConfig:
         if self.numeric_channel and self.numeric_dim <= 0:
             errors.append(f"numeric_dim = {self.numeric_dim} must be "
                           "positive when numeric_channel is enabled")
-        if self.health_rules:
-            from ..obs.health import RuleError, parse_rules
-            try:
-                parse_rules([str(rule) for rule in self.health_rules])
-            except RuleError as exc:
-                errors.append(str(exc))
         if errors:
             details = "\n".join(f"  - {e}" for e in errors)
             raise ConstraintError(

@@ -1,16 +1,16 @@
 """Experiment runner: train + evaluate one method on one dataset.
 
-Every invocation is traced (``run → fit / evaluate`` spans) and, while an
-observability session (:func:`repro.obs.session`) is active, a structured
-run record is written under the session's ``runs_dir`` — see
-``docs/observability.md``.
+Every invocation is traced (``run → fit / evaluate`` spans).  While an
+observability session (:func:`repro.obs.session`) with a ``runs_dir`` is
+active, each invocation is a *recorded run*: it claims a file stem when
+it starts, streams its events to ``<stem>-stream.jsonl`` while it runs,
+and then writes its chrome trace (profiled sessions) and its run record
+``<stem>.json`` once each — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +21,10 @@ from ..kg.pair import AlignmentSplit, KGPair
 from ..nn.kernels import use_kernels
 from ..obs import trace
 from ..obs import telemetry as telemetry_mod
-from ..obs.runrecord import RunRecord, _slug, write_record
+from ..obs.runrecord import (
+    STREAM_SUFFIX, TRACE_SUFFIX, RunRecord, claim_stem, version_stamp,
+    write_record,
+)
 from ..obs.session import active_session
 from .methods import make_method
 
@@ -48,9 +51,9 @@ class ExperimentResult:
     # ``obs.session(profile=True)``; zero otherwise.
     peak_tensor_bytes: int = 0
     total_flops_estimate: int = 0
-    # Health-engine digest (rules + fired alerts) when the run streamed
-    # telemetry with rules armed; None otherwise.  ``repro run
-    # --health-gate`` exits nonzero when this contains a fail alert.
+    # Health-engine digest (rules + fired alerts) when the session armed
+    # health rules; None otherwise.  ``repro run --health-gate`` exits
+    # nonzero when this contains a fail alert.
     health: Optional[Dict[str, object]] = None
 
     @classmethod
@@ -101,57 +104,24 @@ def _method_config(method) -> tuple[Dict[str, object], Optional[int]]:
     return {}, None
 
 
-def _open_stream(session, method, method_name: str, dataset: str):
-    """Open the live telemetry stream (+ health engine) for one run.
+def _health_engine(session, method_name: str, dataset: str):
+    """The health engine a recorded run's stream feeds, or ``None``.
 
-    Returns ``(stream, engine)``, both ``None`` unless the active
-    session asked for telemetry (``obs.session(telemetry=True)`` or
-    ``health_rules=...``) and has a ``runs_dir`` to stream into.  The
-    stream opens under a provisional ``live-*`` name — ``repro obs
-    watch`` tails it while the run is in flight — and is renamed next to
-    the run record once the record's final (dedup-counted) name exists.
-
-    The engine is armed when the session carries rules, or the method's
-    config declares ``health_rules``; both sources merge (session rules
-    first), falling back to :data:`repro.obs.health.DEFAULT_RULES` when
-    the session armed rules without naming any.  ``drop(vs=baseline)``
+    Armed when the session carries rules; an empty rule list arms
+    :data:`repro.obs.health.DEFAULT_RULES`.  ``drop(vs=baseline)``
     references resolve against the latest prior record for the same
     (method, dataset) in the session's ``runs_dir``.
     """
-    if (session is None or not getattr(session, "telemetry", False)
-            or session.runs_dir is None):
-        return None, None
+    if session.health_rules is None:
+        return None
     from ..obs.compare import baseline_metrics
     from ..obs.health import DEFAULT_RULES, HealthEngine, parse_rules
 
-    config, _ = _method_config(method)
-    config_rules = config.get("health_rules") or ()
-    engine = None
-    if session.health_rules is not None or config_rules:
-        texts = list(session.health_rules or ())
-        texts += [str(rule) for rule in config_rules]
-        if not texts:
-            texts = list(DEFAULT_RULES)
-        engine = HealthEngine(
-            parse_rules(texts),
-            baseline=baseline_metrics(session.runs_dir, method_name,
-                                      dataset),
-            registry=session.registry,
-        )
-    directory = Path(session.runs_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    live = directory / (
-        f"live-{os.getpid()}-{_slug(method_name)}-{_slug(dataset)}"
-        + telemetry_mod.STREAM_SUFFIX
+    return HealthEngine(
+        parse_rules(session.health_rules or DEFAULT_RULES),
+        baseline=baseline_metrics(session.runs_dir, method_name, dataset),
+        registry=session.registry,
     )
-    if live.exists():  # leftover from a crashed run: start fresh
-        live.unlink()
-    stream = telemetry_mod.TelemetryStream(
-        live, registry=session.registry,
-        snapshot_seconds=getattr(session, "snapshot_seconds", 5.0),
-        engine=engine,
-    )
-    return stream, engine
 
 
 def _note_anomaly(engine, exc) -> bool:
@@ -166,38 +136,30 @@ def _note_anomaly(engine, exc) -> bool:
     return True
 
 
-def _write_run_record(result: ExperimentResult, method,
-                      stream=None, engine=None) -> Optional[Path]:
-    """Persist a run record when an obs session with a runs_dir is active.
+def _write_run_record(result: ExperimentResult, method, session, stem: str,
+                      started: float, stream) -> Path:
+    """Write the run's chrome trace (profiled sessions) and its record,
+    each once, under the stem claimed when the run started.
 
     With op profiling active the record embeds the profiler digest
-    (totals + top-10 op table) and a chrome-trace file — spans merged
-    with op events, Perfetto-loadable — is written next to the record
-    and pointed to from ``profile.chrome_trace``.  With telemetry active
-    the record embeds the stream digest (event/snapshot counts + the
-    health summary) and the closed stream is renamed to
-    ``<record-stem>-stream.jsonl`` next to the record.
+    (totals + top-10 op table) and points to ``<stem>-trace.json`` — spans
+    merged with op events, Perfetto-loadable — from
+    ``profile.chrome_trace``.  The record's telemetry digest names the
+    closed stream and counts its events, with the health summary when
+    rules were armed.
     """
-    session = active_session()
-    if session is None or session.runs_dir is None:
-        return None
-    from ..obs.runrecord import version_stamp
     config, seed = _method_config(method)
-    profiler = getattr(session, "profiler", None)
-    telemetry_digest: Dict[str, object] = {}
-    if stream is not None:
-        telemetry_digest = {
-            "stream": stream.path.name,
-            "stream_schema_version": telemetry_mod.STREAM_SCHEMA_VERSION,
-            "events": stream.events_written,
-            "snapshots": stream.snapshots_written,
-        }
-        if engine is not None:
-            telemetry_digest["health"] = engine.summary()
+    telemetry_digest: Dict[str, object] = {
+        "stream": stem + STREAM_SUFFIX,
+        "stream_schema_version": telemetry_mod.STREAM_SCHEMA_VERSION,
+        "events": stream.events_written,
+    }
+    if result.health is not None:
+        telemetry_digest["health"] = result.health
     record = RunRecord(
         method=result.method,
         dataset=result.dataset,
-        timestamp=time.time(),
+        timestamp=started,
         config=config,
         seed=seed,
         version=version_stamp(),
@@ -209,41 +171,22 @@ def _write_run_record(result: ExperimentResult, method,
         },
         metrics=session.registry.snapshot(),
         spans=session.tracer.to_dict(),
-        profile=profiler.summary(top=10) if profiler is not None else {},
         telemetry=telemetry_digest,
     )
-    path = write_record(record, session.runs_dir)
-    # The record file name (dedup counter) is only known after
-    # write_record, so sibling-file pointers are patched into the JSON
-    # in place.
-    patches: Dict[str, str] = {}
+    profiler = session.profiler
     if profiler is not None:
         from ..obs.chrometrace import build_chrome_trace, write_chrome_trace
-        trace_path = path.with_name(path.stem + "-trace.json")
-        write_chrome_trace(trace_path, build_chrome_trace(
-            span_tree=session.tracer.to_dict(),
-            op_events=profiler.trace_events(),
-            metadata={"run_id": record.run_id, "method": record.method,
-                      "dataset": record.dataset},
-        ))
-        record.profile["chrome_trace"] = trace_path.name
-        patches["profile"] = trace_path.name
-    if stream is not None:
-        stem = path.name[:-len(".json")]
-        final = stream.rename(
-            path.with_name(stem + telemetry_mod.STREAM_SUFFIX)
-        )
-        record.telemetry["stream"] = final.name
-        patches["telemetry"] = final.name
-    if patches:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if "profile" in patches:
-            data["profile"]["chrome_trace"] = patches["profile"]
-        if "telemetry" in patches:
-            data["telemetry"]["stream"] = patches["telemetry"]
-        path.write_text(json.dumps(data, indent=2, sort_keys=True,
-                                   default=str), encoding="utf-8")
-    return path
+        record.profile = profiler.summary(top=10)
+        record.profile["chrome_trace"] = stem + TRACE_SUFFIX
+        write_chrome_trace(
+            Path(session.runs_dir) / (stem + TRACE_SUFFIX),
+            build_chrome_trace(
+                span_tree=record.spans,
+                op_events=profiler.trace_events(),
+                metadata={"run_id": record.run_id, "method": record.method,
+                          "dataset": record.dataset},
+            ))
+    return write_record(record, session.runs_dir, stem=stem)
 
 
 def run_experiment(method_name: str, pair: KGPair,
@@ -255,12 +198,12 @@ def run_experiment(method_name: str, pair: KGPair,
     (:func:`repro.nn.kernels.use_kernels`), whose outputs and gradients
     are bit-for-bit those of the composed ops.
 
-    Inside ``obs.session(telemetry=True)`` (or with health rules armed)
-    the whole run streams live events — ``run_start``, per-epoch
-    ``epoch`` / ``validation``, ``eval``, ``run_end`` — to an
-    append-only JSONL file next to the eventual run record; alerts the
-    health engine fires land in the same stream.  If the run dies on an
-    :class:`~repro.analysis.anomaly.AnomalyError`, the anomaly is
+    Inside ``obs.session(runs_dir=...)`` the run claims its file stem
+    first (:func:`repro.obs.runrecord.claim_stem`), then streams live
+    events — ``run_start``, per-epoch ``epoch`` / ``validation``,
+    ``eval``, ``run_end`` — to ``<stem>-stream.jsonl``; alerts of the
+    session's health rules land in the same stream.  If the run dies on
+    an :class:`~repro.analysis.anomaly.AnomalyError`, the anomaly is
     converted into a ``fail`` alert (keeping the op's creation-stack
     provenance) before the exception propagates, so ``repro run
     --health-gate`` reports *where* the NaN was born.  On any early exit,
@@ -270,7 +213,14 @@ def run_experiment(method_name: str, pair: KGPair,
     split = split or pair.split()
     method = make_method(method_name)
     session = active_session()
-    stream, engine = _open_stream(session, method, method_name, pair.name)
+    stream = engine = None
+    if session is not None and session.runs_dir is not None:
+        started = time.time()
+        stem = claim_stem(session.runs_dir, method_name, pair.name, started)
+        engine = _health_engine(session, method_name, pair.name)
+        stream = telemetry_mod.TelemetryStream(
+            Path(session.runs_dir) / (stem + STREAM_SUFFIX), engine=engine)
+        session.last_stream_path = stream.path
     try:
         previous_stream = telemetry_mod.set_stream(stream) \
             if stream is not None else None
@@ -302,9 +252,6 @@ def run_experiment(method_name: str, pair: KGPair,
         _note_anomaly(engine, exc)
         if stream is not None:
             stream.close()
-        if session is not None:
-            if stream is not None:
-                session.last_stream_path = stream.path
             session.last_health = (engine.summary()
                                    if engine is not None else None)
         raise
@@ -325,13 +272,10 @@ def run_experiment(method_name: str, pair: KGPair,
             eval_seconds=eval_seconds,
         )
         stream.close()
-    if engine is not None:
-        result.health = engine.summary()
-    result.record_path = _write_run_record(result, method,
-                                           stream=stream, engine=engine)
-    if session is not None:
-        if stream is not None:
-            session.last_stream_path = stream.path
+        if engine is not None:
+            result.health = engine.summary()
+        result.record_path = _write_run_record(result, method, session, stem,
+                                               started, stream)
         session.last_health = result.health
     return result
 

@@ -18,8 +18,10 @@ The engine calls every registered observer, in registration order, at:
 * ``optimizer_created`` — at the end of ``Optimizer.__init__``;
 * ``module_entered`` / ``module_exited`` — around ``Module.__call__``.
   ``module_exited`` runs even when ``forward`` raised (with ``out=None``)
-  so paired bookkeeping such as a module stack stays balanced, and its
-  return value replaces the output.
+  so paired bookkeeping such as a module stack stays balanced.
+
+Observers watch; none can change what the engine computes: the engine
+ignores every event's return value.
 
 Registration is locked and copy-on-write: :data:`observers` is an
 immutable tuple that is replaced, never mutated, so the engine iterates
@@ -68,10 +70,8 @@ class Observer:
     def module_entered(self, module, args, kwargs) -> None:
         """``module(*args, **kwargs)`` is about to run ``forward``."""
 
-    def module_exited(self, module, args, kwargs, out):
-        """``forward`` returned ``out`` (``None`` if it raised); return
-        the value the call should produce."""
-        return out
+    def module_exited(self, module, args, kwargs, out) -> None:
+        """``forward`` returned ``out`` (``None`` if it raised)."""
 
 
 class HookHandle:

@@ -139,7 +139,7 @@ class Module:
             out = self.forward(*args, **kwargs)
         finally:
             for observer in observers:
-                out = observer.module_exited(self, args, kwargs, out)
+                observer.module_exited(self, args, kwargs, out)
         return out
 
 

@@ -6,7 +6,8 @@ Its parts (see ``docs/observability.md``):
   registry with labeled series and percentile estimates.
 * :mod:`repro.obs.tracing` — hierarchical span tracer/profiler
   (``with trace.span("attr_pretrain/epoch", epoch=i): ...``).
-* :mod:`repro.obs.runrecord` — per-run JSON manifests under ``runs/``.
+* :mod:`repro.obs.runrecord` — per-run JSON manifests under ``runs/``,
+  and the one stem a recorded run's files share, claimed when it starts.
 * :mod:`repro.obs.profile` — opt-in op-level autograd profiler
   (``obs.session(profile=True)``): per-op wall time, analytic FLOPs,
   live-tensor bytes, forward/backward split.
@@ -14,9 +15,8 @@ Its parts (see ``docs/observability.md``):
   events, viewable in Perfetto (``repro obs --chrome-trace``).
 * :mod:`repro.obs.telemetry` — the one event API, ``telemetry.emit``:
   it derives the trainer/eval registry series from each event, then
-  appends it to a live, tail-able JSONL stream with periodic metrics
-  snapshots and a Prometheus text exposition file
-  (``obs.session(telemetry=True)`` / ``repro obs watch``).
+  appends it to the live, tail-able JSONL stream every recorded run
+  writes next to its record (``repro obs watch``).
 * :mod:`repro.obs.health` — declarative health rules
   (``loss.nonfinite``, ``hits@1.drop(vs=baseline, abs=0.02)``, ...)
   evaluated online against the stream; ``repro run --health-gate``.
@@ -30,7 +30,7 @@ paths cost ~nothing by default.  Typical use::
     from repro import obs
 
     with obs.session(runs_dir="runs") as sess:
-        run_experiment("sdea", pair, split)   # writes runs/<id>.json
+        run_experiment("sdea", pair, split)   # runs/<id>.json + stream
         print(sess.tracer.report())
 
 Instrumented library code imports the submodules and calls through the

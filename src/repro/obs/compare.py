@@ -9,13 +9,13 @@ this module turns a directory of them into an analyzable registry:
   headline results (Hits@k / MRR, expected bitwise-zero between seeded
   reruns), wall-time and peak-memory regressions, health-alert deltas,
   and loss / Hits@1 trajectory divergence read from the records'
-  sibling telemetry streams.
+  sibling telemetry streams when both records have one.
 * :func:`compare_records` — an N-way table of the same columns.
 * :func:`format_diff_text` / :func:`format_diff_markdown` /
   :func:`format_diff_json` — the reporters behind ``repro obs diff``.
 * :func:`prune_runs` — housekeeping: cap the number of retained records
-  (each removed together with its ``-stream.jsonl`` / ``-trace.json`` /
-  ``.prom`` siblings).
+  (each removed together with its ``-stream.jsonl`` / ``-trace.json``
+  siblings, :func:`repro.obs.runrecord.run_files`).
 
 Readers are deliberately forgiving: a record written by a newer schema
 produces a warning string in the summary, never an exception — ``repro
@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .runrecord import SCHEMA_VERSION, RunRecord, list_records, load_record
-from .telemetry import STREAM_SUFFIX, PROM_SUFFIX, read_stream
+from .runrecord import (
+    SCHEMA_VERSION, RunRecord, list_records, load_record, run_files,
+)
+from .telemetry import read_stream
 
 __all__ = [
     "RunSummary", "MetricDelta", "TrajectoryDelta", "RunDiff",
@@ -274,15 +276,28 @@ class RunDiff:
                    if d.delta is not None) and any(
             d.delta is not None for d in self.results)
 
+    def _quality_curves(self) -> List[TrajectoryDelta]:
+        """The loss / hits@1 curves.  ``epoch_seconds`` is left out:
+        wall time is never bitwise reproducible, and it is reported as
+        its own regression row."""
+        return [t for t in self.trajectories if t.metric != "epoch_seconds"]
+
     @property
     def trajectories_identical(self) -> bool:
-        """True when the quality curves (loss / hits@1) match exactly.
+        """True when quality curves were compared and match exactly."""
+        quality = self._quality_curves()
+        return bool(quality) and all(t.identical for t in quality)
 
-        ``epoch_seconds`` is excluded: wall time is never bitwise
-        reproducible, and it is reported as its own regression row.
-        """
-        return all(t.identical for t in self.trajectories
-                   if t.metric != "epoch_seconds")
+    @property
+    def verdict(self) -> str:
+        """The one-line conclusion both text reporters print."""
+        if not self.results_identical:
+            return "metrics differ"
+        if not self._quality_curves():
+            return "headline metrics identical; no trajectories compared"
+        if self.trajectories_identical:
+            return "metrics and trajectories are bitwise-identical"
+        return "headline metrics identical; trajectories diverge"
 
 
 def _result_value(results: Dict[str, object], key: str) -> Optional[float]:
@@ -331,6 +346,19 @@ def diff_records(path_a, path_b) -> RunDiff:
                     float(b.alerts_fail)),
     ]
 
+    # Curves are compared only between two streams: a record without
+    # one (its stream file deleted, or a record written without a stream)
+    # leaves nothing to compare, and the verdict says so.
+    trajectories = (_trajectory_deltas(a, b)
+                    if a.stream is not None and b.stream is not None
+                    else [])
+    return RunDiff(a=a, b=b, results=results, timing=timing, memory=memory,
+                   alerts=alerts, trajectories=trajectories,
+                   warnings=warnings)
+
+
+def _trajectory_deltas(a: RunSummary, b: RunSummary
+                       ) -> List[TrajectoryDelta]:
     curves_a = load_trajectories(a)
     curves_b = load_trajectories(b)
     trajectories: List[TrajectoryDelta] = []
@@ -353,9 +381,7 @@ def diff_records(path_a, path_b) -> RunDiff:
                 final_a=series_a[-1] if series_a else None,
                 final_b=series_b[-1] if series_b else None,
             ))
-    return RunDiff(a=a, b=b, results=results, timing=timing, memory=memory,
-                   alerts=alerts, trajectories=trajectories,
-                   warnings=warnings)
+    return trajectories
 
 
 def _blas_config(summary: RunSummary) -> Optional[str]:
@@ -416,14 +442,7 @@ def format_diff_text(diff: RunDiff) -> str:
                 f"{_fmt(t.final_a):>10} {_fmt(t.final_b):>10}"
             )
     lines.append("")
-    if diff.results_identical and diff.trajectories_identical:
-        lines.append("verdict: metrics and trajectories are "
-                     "bitwise-identical")
-    elif diff.results_identical:
-        lines.append("verdict: headline metrics identical; "
-                     "trajectories diverge")
-    else:
-        lines.append("verdict: metrics differ")
+    lines.append(f"verdict: {diff.verdict}")
     for warning in diff.warnings:
         lines.append(f"! {warning}")
     return "\n".join(lines)
@@ -462,14 +481,7 @@ def format_diff_markdown(diff: RunDiff) -> str:
                 f"| {_fmt(t.final_a)} | {_fmt(t.final_b)} |"
             )
     lines.append("")
-    if diff.results_identical and diff.trajectories_identical:
-        lines.append("**Verdict:** metrics and trajectories are "
-                     "bitwise-identical.")
-    elif diff.results_identical:
-        lines.append("**Verdict:** headline metrics identical; "
-                     "trajectories diverge.")
-    else:
-        lines.append("**Verdict:** metrics differ.")
+    lines.append(f"**Verdict:** {diff.verdict}.")
     for warning in diff.warnings:
         lines.append(f"> warning: {warning}")
     lines.append("")
@@ -539,21 +551,14 @@ def format_compare_table(summaries: Sequence[RunSummary]) -> str:
 # ---------------------------------------------------------------------- #
 def prune_runs(runs_dir, keep: int) -> List[Path]:
     """Delete all but the newest ``keep`` records (plus their stream /
-    trace / prom siblings).  Returns the removed paths."""
+    trace siblings).  Returns the removed paths."""
     if keep < 0:
         raise ValueError("keep must be >= 0")
     records = list_records(runs_dir)
     removed: List[Path] = []
     doomed = records[:-keep] if keep else records
     for record_path in doomed:
-        stem = record_path.name[:-len(".json")]
-        siblings = [
-            record_path,
-            record_path.with_name(stem + STREAM_SUFFIX),
-            record_path.with_name(stem + "-trace.json"),
-            record_path.with_name(stem + PROM_SUFFIX),
-        ]
-        for path in siblings:
+        for path in run_files(record_path):
             if path.exists():
                 path.unlink()
                 removed.append(path)

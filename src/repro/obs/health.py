@@ -9,10 +9,10 @@ optional parameters::
     epoch_seconds.trend(slope>0.05)      # epochs getting slower -> warn
     loss.above(value=5.0)                # hard bound            -> warn
 
-Rules come from three places, merged in order: the engine defaults
-(:data:`DEFAULT_RULES`), ``SDEAConfig.health_rules`` on the method being
-run, and a TOML file (``repro run --health-rules rules.toml``, see
-:func:`load_rules_toml`).  Any rule accepts a trailing
+Rules come from the session (``obs.session(health_rules=[...])``), which
+``repro run`` fills from a TOML file (``--health-rules rules.toml``, see
+:func:`load_rules_toml`) or, under ``--health-gate`` alone, with the
+engine defaults (:data:`DEFAULT_RULES`).  Any rule accepts a trailing
 ``severity=warn|fail`` override.
 
 The :class:`HealthEngine` consumes the flat event dicts the stream
@@ -276,8 +276,8 @@ class HealthEngine:
         :func:`repro.obs.compare.baseline_metrics`).
     registry:
         Metrics registry receiving the ``health.alerts`` counter; the
-        process-global one by default so alerts land in the same
-        snapshot stream they police.
+        process-global one by default, so alerts land in the run record
+        of the run they police.
     """
 
     def __init__(self, rules: Sequence[HealthRule],
@@ -475,7 +475,7 @@ def _extract(metric: str, kind: object, event: Dict[str, object]
             if kind == event_name and field_name in event:
                 return _as_float(event[field_name])
         return None
-    if metric in event and kind not in ("alert", "metrics_snapshot"):
+    if metric in event and kind != "alert":
         return _as_float(event[metric])
     return None
 

@@ -325,35 +325,6 @@ class Registry:
             for name, instrument in sorted(self._instruments.items())
         }
 
-    def compact_snapshot(self) -> Dict[str, object]:
-        """A trimmed :meth:`snapshot` sized for periodic streaming.
-
-        Counters/gauges keep their values; histograms keep count / sum /
-        max and the p50/p95/p99 estimates but drop the per-bucket count
-        arrays — the telemetry snapshotter (:mod:`repro.obs.telemetry`)
-        emits this every few seconds, so each snapshot must stay a few
-        hundred bytes per series, not a few kilobytes.
-        """
-        digest: Dict[str, object] = {}
-        for name, instrument in sorted(self._instruments.items()):
-            payload = instrument.snapshot()
-            if payload.get("kind") != "histogram":
-                digest[name] = payload
-                continue
-            series_out = []
-            for entry in payload.get("series", []):
-                series_out.append({
-                    "labels": entry.get("labels", {}),
-                    "count": entry.get("count", 0),
-                    "sum": entry.get("sum", 0.0),
-                    "p50": entry.get("p50", 0.0),
-                    "p95": entry.get("p95", 0.0),
-                    "p99": entry.get("p99", 0.0),
-                    "max": entry.get("max"),
-                })
-            digest[name] = {"kind": "histogram", "series": series_out}
-        return digest
-
 
 class _NullCounter:
     __slots__ = ()

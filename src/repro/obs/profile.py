@@ -189,10 +189,9 @@ class OpProfiler(Observer):
         self._paths.push(module)
         self._mark = time.perf_counter()
 
-    def module_exited(self, module, args, kwargs, out):
+    def module_exited(self, module, args, kwargs, out) -> None:
         self._paths.pop()
         self._mark = time.perf_counter()
-        return out
 
     def backward_started(self, root, grad) -> None:
         self._mark = time.perf_counter()

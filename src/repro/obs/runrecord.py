@@ -8,6 +8,11 @@ evaluate timing, a metrics-registry snapshot, and the hierarchical span
 tree.  Records are written to ``runs/<timestamp>-<method>-<dataset>.json``
 (the directory is gitignored) and rendered back with
 :func:`format_record` / the ``repro obs`` CLI subcommand.
+
+This module also names a recorded run's files.  They share one stem,
+claimed by :func:`claim_stem` when the run starts: the record
+``<stem>.json``, its telemetry stream ``<stem>-stream.jsonl`` and, for a
+profiled run, its chrome trace ``<stem>-trace.json``.
 """
 
 from __future__ import annotations
@@ -24,12 +29,18 @@ from typing import Dict, List, Optional
 from .tracing import format_span_tree
 
 __all__ = [
-    "RunRecord", "version_stamp",
+    "RunRecord", "version_stamp", "claim_stem", "run_files",
     "write_record", "load_record", "latest_record", "list_records",
     "format_record", "DEFAULT_RUNS_DIR",
+    "RECORD_SUFFIX", "STREAM_SUFFIX", "TRACE_SUFFIX",
 ]
 
 DEFAULT_RUNS_DIR = "runs"
+#: The files of one recorded run: ``<stem>`` plus each suffix.
+RECORD_SUFFIX = ".json"
+STREAM_SUFFIX = "-stream.jsonl"
+TRACE_SUFFIX = "-trace.json"
+_SUFFIXES = (RECORD_SUFFIX, STREAM_SUFFIX, TRACE_SUFFIX)
 # v1: original record shape.  v2: adds the ``telemetry`` digest
 # (live-stream pointer + event counts + health-alert summary).  v3 (this
 # version): some v3 records carry a ``shards`` digest, which
@@ -99,6 +110,11 @@ def _slug(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "-" for c in text)
 
 
+def _run_id(method: str, dataset: str, timestamp: float) -> str:
+    stamp = time.strftime("%Y%m%d-%H%M%S", time.localtime(timestamp))
+    return f"{stamp}-{_slug(method)}-{_slug(dataset)}"
+
+
 @dataclasses.dataclass
 class RunRecord:
     """The JSON-able manifest of one ``run_experiment`` invocation."""
@@ -116,16 +132,14 @@ class RunRecord:
     # Op-profiler digest (obs.session(profile=True)): totals, top-10 op
     # table, and a pointer to the chrome-trace file next to the record.
     profile: Dict[str, object] = dataclasses.field(default_factory=dict)
-    # Telemetry digest (obs.session(telemetry=True)): the sibling
-    # ``*-stream.jsonl`` name, event/snapshot counts, and the health
-    # engine's alert summary.
+    # Telemetry digest: the sibling ``*-stream.jsonl`` name, its event
+    # count, and the health engine's alert summary when rules were armed.
     telemetry: Dict[str, object] = dataclasses.field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     @property
     def run_id(self) -> str:
-        stamp = time.strftime("%Y%m%d-%H%M%S", time.localtime(self.timestamp))
-        return f"{stamp}-{_slug(self.method)}-{_slug(self.dataset)}"
+        return _run_id(self.method, self.dataset, self.timestamp)
 
     def to_dict(self) -> Dict[str, object]:
         out = dataclasses.asdict(self)
@@ -138,16 +152,54 @@ class RunRecord:
         return cls(**{k: v for k, v in data.items() if k in fields})
 
 
-def write_record(record: RunRecord, runs_dir=DEFAULT_RUNS_DIR) -> Path:
-    """Serialise ``record`` under ``runs_dir``; returns the written path."""
+def _free_stem(directory: Path, run_id: str) -> str:
+    """``run_id``, else ``run_id.1``, ``run_id.2``, ...: the first stem
+    for which no file of a recorded run exists yet."""
+    stem, counter = run_id, 0
+    while any((directory / (stem + suffix)).exists() for suffix in _SUFFIXES):
+        counter += 1
+        stem = f"{run_id}.{counter}"
+    return stem
+
+
+def claim_stem(runs_dir, method: str, dataset: str, timestamp: float) -> str:
+    """Claim the file stem of a run that starts at ``timestamp``.
+
+    The stem is the run id, with a ``.1``, ``.2``, ... counter when an
+    earlier run of the same second holds it.  Creating
+    ``<stem>-stream.jsonl`` exclusively is the claim, so two processes
+    never share a stem.
+    """
     directory = Path(runs_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{record.run_id}.json"
-    # Avoid clobbering a record from the same second (suite runs).
-    counter = 1
-    while path.exists():
-        path = directory / f"{record.run_id}.{counter}.json"
-        counter += 1
+    run_id = _run_id(method, dataset, timestamp)
+    while True:
+        stem = _free_stem(directory, run_id)
+        try:
+            (directory / (stem + STREAM_SUFFIX)).open("x").close()
+        except FileExistsError:  # claimed between the check and the create
+            continue
+        return stem
+
+
+def run_files(record_path) -> List[Path]:
+    """The record at ``record_path`` and its siblings, existing or not."""
+    record_path = Path(record_path)
+    stem = record_path.name[:-len(RECORD_SUFFIX)]
+    return [record_path.with_name(stem + suffix) for suffix in _SUFFIXES]
+
+
+def write_record(record: RunRecord, runs_dir=DEFAULT_RUNS_DIR,
+                 stem: Optional[str] = None) -> Path:
+    """Serialise ``record`` as ``<stem>.json`` under ``runs_dir``; returns
+    the written path.  ``stem`` is the one :func:`claim_stem` gave the
+    run; without it the record takes the first free stem for its
+    ``run_id``."""
+    directory = Path(runs_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    if stem is None:
+        stem = _free_stem(directory, record.run_id)
+    path = directory / (stem + RECORD_SUFFIX)
     path.write_text(
         json.dumps(record.to_dict(), indent=2, sort_keys=True, default=str),
         encoding="utf-8",
@@ -161,18 +213,26 @@ def load_record(path) -> RunRecord:
     return RunRecord.from_dict(data)
 
 
+def _record_order(path: Path):
+    """Sort key: run id, then same-second counter (``S`` before ``S.1``)."""
+    stem = path.name[:-len(RECORD_SUFFIX)]
+    run_id, dot, counter = stem.rpartition(".")
+    return (run_id, int(counter)) if dot and counter.isdigit() else (stem, 0)
+
+
 def list_records(runs_dir=DEFAULT_RUNS_DIR) -> List[Path]:
     """Run-record paths under ``runs_dir``, oldest first.
 
-    Chrome-trace exports (``*-trace.json``) live next to their records
-    and are not records themselves.
+    A run's chrome trace (``*-trace.json``) shares the record's
+    extension but is not a record.
     """
     directory = Path(runs_dir)
     if not directory.is_dir():
         return []
     return sorted(
-        p for p in directory.glob("*.json")
-        if p.is_file() and not p.name.endswith("-trace.json")
+        (p for p in directory.glob("*" + RECORD_SUFFIX)
+         if p.is_file() and not p.name.endswith(TRACE_SUFFIX)),
+        key=_record_order,
     )
 
 
@@ -257,8 +317,7 @@ def _format_telemetry(telemetry: Dict[str, object]) -> List[str]:
     stream = telemetry.get("stream")
     if stream:
         lines.append(
-            f"stream: {stream}  events={telemetry.get('events', 0)}  "
-            f"snapshots={telemetry.get('snapshots', 0)}"
+            f"stream: {stream}  events={telemetry.get('events', 0)}"
         )
     health = telemetry.get("health")
     if isinstance(health, dict):

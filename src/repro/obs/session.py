@@ -4,8 +4,7 @@ The instruments default to no-ops; an :class:`ObsSession` swaps a live
 metrics registry and span tracer into the process-global slots for the
 duration of a ``with`` block (and restores whatever was there before —
 sessions nest).  Every :func:`repro.obs.telemetry.emit` inside the block
-then updates the registry's trainer and eval series; with
-``telemetry=True`` the runner also streams each experiment's events::
+then updates the registry's trainer and eval series::
 
     from repro import obs
 
@@ -13,10 +12,11 @@ then updates the registry's trainer and eval series; with
         result = run_experiment("sdea", pair, split)
         print(sess.tracer.report())
 
-While a session is active, :func:`repro.experiments.run_experiment`
-writes a run record for every invocation (see
-:mod:`repro.obs.runrecord`); set ``runs_dir=None`` to collect metrics and
-spans without persisting anything.
+While a session with a ``runs_dir`` is active,
+:func:`repro.experiments.run_experiment` streams every invocation's
+events to ``<stem>-stream.jsonl`` and then writes its run record
+``<stem>.json`` (see :mod:`repro.obs.runrecord`); set ``runs_dir=None``
+to collect metrics and spans without persisting anything.
 """
 
 from __future__ import annotations
@@ -43,32 +43,23 @@ class ObsSession:
     """
 
     def __init__(self, runs_dir: Optional[str] = "runs",
-                 trace_alloc: bool = False,
                  profile: bool = False,
-                 profile_max_events: int = 200_000,
-                 telemetry: bool = False,
-                 health_rules: Optional[Sequence[str]] = None,
-                 snapshot_seconds: float = 5.0):
+                 health_rules: Optional[Sequence[str]] = None):
         self.runs_dir = runs_dir
         self.registry = Registry()
-        self.tracer = Tracer(trace_alloc=trace_alloc)
+        self.tracer = Tracer()
         self.profiler = None
         if profile:
             # Lazy import: profile pulls in repro.nn, which itself
             # imports repro.obs submodules.
             from .profile import OpProfiler
-            self.profiler = OpProfiler(max_events=profile_max_events)
-        # Live telemetry: the *runner* opens one stream per experiment
-        # (the file is named after the run), reading these knobs off the
-        # session; `health_rules` additionally arms the alert engine
-        # (see repro.obs.telemetry / repro.obs.health).  Enabling rules
-        # implies streaming.
-        self.telemetry = bool(telemetry) or health_rules is not None
+            self.profiler = OpProfiler()
+        # Arms the runner's health engine on each recorded run's stream
+        # (see repro.obs.health); an empty list arms the defaults.
         self.health_rules: Optional[List[str]] = (
             list(health_rules) if health_rules is not None else None
         )
-        self.snapshot_seconds = snapshot_seconds
-        #: Set by the runner after each experiment: the final stream
+        #: Set by the runner after each recorded experiment: its stream
         #: path and the health digest of the most recent run.
         self.last_stream_path = None
         self.last_health: Optional[dict] = None

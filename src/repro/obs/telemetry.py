@@ -11,16 +11,13 @@ object carrying ``ts``, ``schema_version`` and an ``event`` name, so the
 stream can be tailed with ``tail -f`` or ``repro obs watch`` and parsed
 by anything that reads JSONL.
 
-Interleaved with the events, a periodic **metrics-registry snapshotter**
-writes ``metrics_snapshot`` events (compact counter/gauge/histogram
-digests with percentile estimates) and refreshes a **Prometheus-style
-text exposition file** next to the stream, so external scrapers can read
-live state without touching Python::
+Every run that writes a record streams, under the stem the runner
+claims when the run starts (:func:`repro.obs.runrecord.claim_stem`)::
 
-    with obs.session(runs_dir="runs", telemetry=True):
+    with obs.session(runs_dir="runs"):
         run_experiment("sdea", pair, split)
-    # runs/<record>-stream.jsonl   one event per line
-    # runs/<record>.prom           text exposition, rewritten per snapshot
+    # runs/<stem>.json            the run record
+    # runs/<stem>-stream.jsonl    one event per line
 
 :func:`emit` is the one event API.  Before it appends an event to the
 stream it updates the registry series :data:`DERIVED` names for the
@@ -35,32 +32,24 @@ unconditionally and pays two cheap calls when no session is active.
 from __future__ import annotations
 
 import json
-import math
-import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import metrics as metrics_mod
+from .runrecord import STREAM_SUFFIX
 
 __all__ = [
-    "STREAM_SCHEMA_VERSION", "STREAM_SUFFIX", "PROM_SUFFIX", "DERIVED",
+    "STREAM_SCHEMA_VERSION", "STREAM_SUFFIX", "DERIVED",
     "TelemetryStream", "NullStream",
     "get_stream", "set_stream", "use_stream", "emit", "is_active",
     "read_stream", "iter_stream", "latest_stream", "stream_status",
     "format_status_line",
-    "prometheus_exposition", "write_prometheus",
 ]
 
 #: Version stamped on every stream event; readers warn (never crash) on
 #: versions they do not know (see :func:`read_stream`).
 STREAM_SCHEMA_VERSION = 1
-
-#: Stream files are ``<record-stem>-stream.jsonl`` next to the record.
-STREAM_SUFFIX = "-stream.jsonl"
-
-#: Prometheus exposition files are ``<record-stem>.prom``.
-PROM_SUFFIX = ".prom"
 
 #: The registry series :func:`emit` derives from each event kind, as
 #: ``(instrument, series, event field, label fields)``.  A counter counts
@@ -86,153 +75,60 @@ DERIVED: Dict[str, Tuple[Tuple[str, str, Optional[str], Tuple[str, ...]],
 }
 
 
-def _prom_sibling(stream_path: Path) -> Path:
-    """The ``.prom`` sibling of a stream: ``<stem>-stream.jsonl`` gives
-    ``<stem>.prom``; any other name its stem plus :data:`PROM_SUFFIX`."""
-    name = stream_path.name
-    stem = (name[:-len(STREAM_SUFFIX)] if name.endswith(STREAM_SUFFIX)
-            else stream_path.stem)
-    return stream_path.with_name(stem + PROM_SUFFIX)
-
-
 class TelemetryStream:
-    """Append-only JSONL event stream with a periodic metrics snapshotter.
+    """Append-only JSONL event stream.
 
     Parameters
     ----------
     path:
         Output file; opened in append mode, one JSON object per line,
         flushed per event so ``tail -f`` sees lines immediately.
-    registry:
-        The metrics registry the snapshotter digests.  ``None`` disables
-        snapshots.
-    snapshot_seconds:
-        Minimum seconds between ``metrics_snapshot`` events; ``0`` emits
-        a snapshot after every event (tests), ``None`` disables the
-        periodic snapshotter (explicit :meth:`snapshot` still works).
-        Every snapshot also rewrites the Prometheus exposition file
-        ``prom_file``, the stream's ``.prom`` sibling.
     engine:
         Optional :class:`repro.obs.health.HealthEngine`; every emitted
         event is fed to it and any alerts it fires are appended to the
         stream as ``alert`` events.
     """
 
-    def __init__(self, path, registry: Optional[metrics_mod.Registry] = None,
-                 snapshot_seconds: Optional[float] = 5.0, engine=None):
+    def __init__(self, path, engine=None):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self.registry = registry
-        self.snapshot_seconds = snapshot_seconds
-        self.prom_file = _prom_sibling(self.path)
         self.engine = engine
         self.events_written = 0
-        self.snapshots_written = 0
-        self._last_snapshot = -math.inf
         self._closed = False
 
-    # ------------------------------------------------------------------ #
-    # Write side
-    # ------------------------------------------------------------------ #
     def emit(self, event: str, **fields) -> None:
-        """Append one event line (and run health checks / snapshotter)."""
+        """Append one event line, then any alerts it fires."""
         if self._closed:
             return
+        record = self._write(event, fields)
+        if self.engine is not None and event != "alert":
+            for alert in self.engine.observe(record):
+                self._write("alert", alert.to_fields())
+
+    def _write(self, event: str, fields: Dict[str, object]
+               ) -> Dict[str, object]:
         record: Dict[str, object] = {
             "ts": time.time(),
             "schema_version": STREAM_SCHEMA_VERSION,
             "event": event,
         }
         record.update(fields)
-        self._write(record)
-        if self.engine is not None and event != "alert":
-            for alert in self.engine.observe(record):
-                self._write_alert(alert)
-        self.maybe_snapshot()
-
-    def _write(self, record: Dict[str, object]) -> None:
         self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
         self._fh.flush()
         self.events_written += 1
+        return record
 
-    def _write_alert(self, alert) -> None:
-        record: Dict[str, object] = {
-            "ts": time.time(),
-            "schema_version": STREAM_SCHEMA_VERSION,
-            "event": "alert",
-        }
-        record.update(alert.to_fields())
-        self._write(record)
-
-    def maybe_snapshot(self) -> bool:
-        """Emit a ``metrics_snapshot`` if the snapshot period has elapsed."""
-        if self.registry is None or self.snapshot_seconds is None:
-            return False
-        if time.monotonic() - self._last_snapshot < self.snapshot_seconds:
-            return False
-        self.snapshot()
-        return True
-
-    def snapshot(self) -> None:
-        """Force a ``metrics_snapshot`` event + Prometheus rewrite now.
-
-        The write itself is timed into the
-        ``telemetry.snapshot_write_seconds`` histogram of the digested
-        registry, so snapshot cost is visible in the data it produces.
-        """
-        if self.registry is None or self._closed:
-            return
-        start = time.perf_counter()
-        self._write({
-            "ts": time.time(),
-            "schema_version": STREAM_SCHEMA_VERSION,
-            "event": "metrics_snapshot",
-            "metrics": self.registry.compact_snapshot(),
-        })
-        write_prometheus(self.registry, self.prom_file)
-        self.snapshots_written += 1
-        self._last_snapshot = time.monotonic()
-        self.registry.histogram("telemetry.snapshot_write_seconds").observe(
-            time.perf_counter() - start
-        )
-
-    def close(self, final_snapshot: bool = True) -> None:
-        """Emit ``stream_end`` (after an optional final snapshot), close."""
+    def close(self) -> None:
+        """Append the ``stream_end`` marker and close the file."""
         if self._closed:
             return
-        if final_snapshot and self.registry is not None:
-            self.snapshot()
-        summary: Dict[str, object] = {
-            "ts": time.time(),
-            "schema_version": STREAM_SCHEMA_VERSION,
-            "event": "stream_end",
-            "events": self.events_written,
-            "snapshots": self.snapshots_written,
-        }
+        summary: Dict[str, object] = {"events": self.events_written}
         if self.engine is not None:
             summary.update(self.engine.alert_counts())
-        self._write(summary)
+        self._write("stream_end", summary)
         self._fh.close()
         self._closed = True
-
-    def rename(self, target) -> Path:
-        """Move the (closed) stream — and its .prom sibling — to ``target``.
-
-        Used by the runner to line the stream file up with the run
-        record's final name, which is only known after the record is
-        written.
-        """
-        if not self._closed:
-            raise RuntimeError("close() the stream before renaming it")
-        target = Path(target)
-        os.replace(self.path, target)
-        self.path = target
-        if self.prom_file.exists():
-            new_prom = _prom_sibling(target)
-            os.replace(self.prom_file, new_prom)
-            self.prom_file = new_prom
-        return target
 
 
 class NullStream:
@@ -240,19 +136,12 @@ class NullStream:
 
     __slots__ = ()
     events_written = 0
-    snapshots_written = 0
     engine = None
 
     def emit(self, event: str, **fields) -> None:
         pass
 
-    def snapshot(self) -> None:
-        pass
-
-    def maybe_snapshot(self) -> bool:
-        return False
-
-    def close(self, final_snapshot: bool = True) -> None:
+    def close(self) -> None:
         pass
 
 
@@ -470,109 +359,3 @@ def format_status_line(status: Dict[str, object]) -> str:
     if status.get("ended"):
         parts.append("[ended]")
     return "  ".join(parts)
-
-
-# ---------------------------------------------------------------------- #
-# Prometheus text exposition
-# ---------------------------------------------------------------------- #
-def _prom_name(name: str) -> str:
-    """Sanitise a dotted metric name into a Prometheus identifier."""
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    text = "".join(out)
-    if text and text[0].isdigit():
-        text = "_" + text
-    return text
-
-
-def _prom_escape(value: object) -> str:
-    return str(value).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _prom_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = None
-                 ) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    inner = ",".join(
-        f'{_prom_name(k)}="{_prom_escape(v)}"'
-        for k, v in sorted(merged.items())
-    )
-    return "{" + inner + "}"
-
-
-def _prom_value(value) -> str:
-    if value is None:
-        return "NaN"
-    value = float(value)
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(value)
-
-
-def prometheus_exposition(registry: metrics_mod.Registry) -> str:
-    """Render the registry in the Prometheus text exposition format.
-
-    Counters become ``<name>_total``, gauges keep their name, histograms
-    emit cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``
-    — the standard shape scrapers expect.  Metric names are sanitised
-    (``trainer.loss`` → ``trainer_loss``).
-    """
-    lines: List[str] = []
-    for name, payload in registry.snapshot().items():
-        kind = payload.get("kind")
-        series = payload.get("series", [])
-        base = _prom_name(name)
-        if kind == "counter":
-            lines.append(f"# TYPE {base}_total counter")
-            for entry in series:
-                lines.append(
-                    f"{base}_total{_prom_labels(entry.get('labels', {}))} "
-                    f"{_prom_value(entry.get('value', 0.0))}"
-                )
-        elif kind == "gauge":
-            lines.append(f"# TYPE {base} gauge")
-            for entry in series:
-                lines.append(
-                    f"{base}{_prom_labels(entry.get('labels', {}))} "
-                    f"{_prom_value(entry.get('value'))}"
-                )
-        elif kind == "histogram":
-            lines.append(f"# TYPE {base} histogram")
-            for entry in series:
-                labels = entry.get("labels", {})
-                bounds = entry.get("buckets", [])
-                counts = entry.get("counts", [])
-                running = 0
-                for bound, bucket_count in zip(bounds, counts):
-                    running += bucket_count
-                    lines.append(
-                        f"{base}_bucket"
-                        f"{_prom_labels(labels, {'le': f'{bound:g}'})} "
-                        f"{running}"
-                    )
-                total = entry.get("count", 0)
-                lines.append(
-                    f"{base}_bucket{_prom_labels(labels, {'le': '+Inf'})} "
-                    f"{total}"
-                )
-                lines.append(
-                    f"{base}_sum{_prom_labels(labels)} "
-                    f"{_prom_value(entry.get('sum', 0.0))}"
-                )
-                lines.append(f"{base}_count{_prom_labels(labels)} {total}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(registry: metrics_mod.Registry, path) -> Path:
-    """Atomically (write + rename) refresh a ``.prom`` exposition file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(prometheus_exposition(registry), encoding="utf-8")
-    os.replace(tmp, path)
-    return path

@@ -10,11 +10,7 @@ Usage::
 Spans nest; repeated spans with the same name under the same parent are
 *aggregated* into one tree node (wall time summed, call count
 incremented), so per-batch spans stay bounded.  Each node records wall
-time, call count, error count, the most recent attributes, and — when the
-tracer was built with ``trace_alloc=True`` and :mod:`tracemalloc` is
-running — the net traced-allocation delta in bytes (numpy routes array
-buffers through the traced allocator, so this approximates numpy
-allocation churn per span).
+time, call count, error count and the most recent attributes.
 
 The tree renders as an indented text report (:meth:`Tracer.report`) and
 exports as a JSON-able dict (:meth:`Tracer.to_dict`).
@@ -27,7 +23,6 @@ null tracer reuses a single context-manager object and costs ~nothing.
 from __future__ import annotations
 
 import time
-import tracemalloc
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -39,15 +34,13 @@ __all__ = [
 class SpanNode:
     """One node of the aggregated span tree."""
 
-    __slots__ = ("name", "calls", "errors", "wall", "alloc_bytes",
-                 "attrs", "children")
+    __slots__ = ("name", "calls", "errors", "wall", "attrs", "children")
 
     def __init__(self, name: str):
         self.name = name
         self.calls = 0
         self.errors = 0
         self.wall = 0.0
-        self.alloc_bytes = 0
         self.attrs: Dict[str, object] = {}
         self.children: Dict[str, "SpanNode"] = {}
 
@@ -65,8 +58,6 @@ class SpanNode:
         }
         if self.errors:
             out["errors"] = self.errors
-        if self.alloc_bytes:
-            out["alloc_bytes"] = self.alloc_bytes
         if self.attrs:
             out["attrs"] = self.attrs
         if self.children:
@@ -79,7 +70,6 @@ class SpanNode:
         node.calls = int(data.get("calls", 0))
         node.errors = int(data.get("errors", 0))
         node.wall = float(data.get("wall_seconds", 0.0))
-        node.alloc_bytes = int(data.get("alloc_bytes", 0))
         node.attrs = dict(data.get("attrs", {}))  # type: ignore[arg-type]
         for child in data.get("children", []):  # type: ignore[union-attr]
             restored = cls.from_dict(child)
@@ -97,18 +87,15 @@ class SpanNode:
 class _LiveSpan:
     """Context manager for one entry into a (possibly aggregated) span."""
 
-    __slots__ = ("_tracer", "_node", "_start", "_alloc_start")
+    __slots__ = ("_tracer", "_node", "_start")
 
     def __init__(self, tracer: "Tracer", node: SpanNode):
         self._tracer = tracer
         self._node = node
         self._start = 0.0
-        self._alloc_start = 0
 
     def __enter__(self) -> SpanNode:
         self._tracer._stack.append(self._node)
-        if self._tracer.trace_alloc and tracemalloc.is_tracing():
-            self._alloc_start = tracemalloc.get_traced_memory()[0]
         self._start = time.perf_counter()
         return self._node
 
@@ -119,10 +106,6 @@ class _LiveSpan:
         node.wall += elapsed
         if exc_type is not None:
             node.errors += 1
-        if self._tracer.trace_alloc and tracemalloc.is_tracing():
-            node.alloc_bytes += (
-                tracemalloc.get_traced_memory()[0] - self._alloc_start
-            )
         # Unwind even if callers misbehave: pop to (and including) node.
         stack = self._tracer._stack
         while stack and stack.pop() is not node:
@@ -133,8 +116,7 @@ class _LiveSpan:
 class Tracer:
     """Collects an aggregated hierarchical timing tree."""
 
-    def __init__(self, trace_alloc: bool = False):
-        self.trace_alloc = trace_alloc
+    def __init__(self):
         self.root = SpanNode("root")
         self._stack: List[SpanNode] = [self.root]
         self._started = time.perf_counter()
@@ -179,21 +161,8 @@ class Tracer:
 def format_span_tree(tree: Dict[str, object], min_wall: float = 0.0) -> str:
     """Render a span-tree dict (from :meth:`Tracer.to_dict` or a run
     record) as an indented text table."""
-    lines = [f"{'span':<44} {'calls':>6} {'wall(s)':>9} {'%par':>6} "
-             f"{'alloc':>10}"]
+    lines = [f"{'span':<44} {'calls':>6} {'wall(s)':>9} {'%par':>6}"]
     lines.append("-" * len(lines[0]))
-
-    def fmt_bytes(n: int) -> str:
-        if not n:
-            return "-"
-        sign = "-" if n < 0 else ""
-        n = abs(n)
-        for unit in ("B", "KB", "MB", "GB"):
-            if n < 1024 or unit == "GB":
-                return f"{sign}{n:.0f}{unit}" if unit == "B" else \
-                    f"{sign}{n:.1f}{unit}"
-            n /= 1024.0
-        return f"{sign}{n:.1f}GB"
 
     def walk(node: Dict[str, object], depth: int, parent_wall: float) -> None:
         wall = float(node.get("wall_seconds", 0.0))
@@ -202,12 +171,10 @@ def format_span_tree(tree: Dict[str, object], min_wall: float = 0.0) -> str:
         name = "  " * depth + str(node.get("name", "?"))
         calls = int(node.get("calls", 0))
         pct = 100.0 * wall / parent_wall if parent_wall > 0 else 100.0
-        alloc = fmt_bytes(int(node.get("alloc_bytes", 0)))
         errors = int(node.get("errors", 0))
         suffix = f"  !{errors}err" if errors else ""
         lines.append(
-            f"{name:<44} {calls:>6} {wall:>9.3f} {pct:>5.1f}% "
-            f"{alloc:>10}{suffix}"
+            f"{name:<44} {calls:>6} {wall:>9.3f} {pct:>5.1f}%{suffix}"
         )
         for child in node.get("children", []):  # type: ignore[union-attr]
             walk(child, depth + 1, wall)
@@ -231,9 +198,6 @@ _NULL_SPAN = _NullSpan()
 
 class NullTracer(Tracer):
     """No-op tracer — the default until observability is activated."""
-
-    def __init__(self):
-        super().__init__(trace_alloc=False)
 
     @property
     def enabled(self) -> bool:

@@ -28,7 +28,9 @@ from repro.obs.compare import (
 )
 from repro.obs.runrecord import (
     SCHEMA_VERSION,
+    STREAM_SUFFIX,
     RunRecord,
+    claim_stem,
     format_record,
     load_record,
     write_record,
@@ -58,7 +60,7 @@ def write_stream(path: Path, losses, seconds, hits1=None) -> None:
                       "event": "validation", "phase": "transe",
                       "epoch": i, "hits1": h})
     lines.append({"ts": 200.0, "schema_version": 1, "event": "stream_end",
-                  "events": len(lines), "snapshots": 1})
+                  "events": len(lines)})
     path.write_text("".join(json.dumps(l) + "\n" for l in lines))
 
 
@@ -78,23 +80,17 @@ def make_record(runs_dir: Path, timestamp: float, *, method="jape-stru",
                             "peak_tensor_bytes": peak_bytes}}
         if peak_bytes else {},
     )
-    path = write_record(record, runs_dir)
-    if losses is not None:
-        stem = path.name[: -len(".json")]
-        stream = path.with_name(stem + "-stream.jsonl")
-        write_stream(stream, losses, seconds or [0.01] * len(losses), hits1)
-        telemetry = {
-            "stream": stream.name,
-            "stream_schema_version": 1,
-            "events": len(losses),
-            "snapshots": 1,
-        }
-        if health is not None:
-            telemetry["health"] = health
-        data = json.loads(path.read_text())
-        data["telemetry"] = telemetry
-        path.write_text(json.dumps(data, indent=2, sort_keys=True))
-    return path
+    if losses is None:
+        return write_record(record, runs_dir)
+    # As the runner does: claim the stem, stream, then write the record.
+    stem = claim_stem(runs_dir, method, dataset, timestamp)
+    stream = runs_dir / (stem + STREAM_SUFFIX)
+    write_stream(stream, losses, seconds or [0.01] * len(losses), hits1)
+    record.telemetry = {"stream": stream.name, "stream_schema_version": 1,
+                        "events": len(losses)}
+    if health is not None:
+        record.telemetry["health"] = health
+    return write_record(record, runs_dir, stem=stem)
 
 
 class TestSummaries:
@@ -249,6 +245,21 @@ class TestDiff:
             assert not any("dtype" in w
                            for w in diff_records(other, a).warnings)
 
+    def test_missing_stream_compares_no_trajectories(self, tmp_path, utc):
+        a, b = self.two_seeded(tmp_path)
+        summarize_record(b).stream.unlink()
+        diff = diff_records(a, b)
+        assert diff.results_identical
+        assert diff.trajectories == []
+        assert not diff.trajectories_identical
+        assert any("missing" in w for w in diff.warnings)
+        verdict = "headline metrics identical; no trajectories compared"
+        assert f"verdict: {verdict}" in format_diff_text(diff)
+        assert f"**Verdict:** {verdict}." in format_diff_markdown(diff)
+        assert "bitwise-identical" not in format_diff_text(diff)
+        payload = json.loads(format_diff_json(diff))
+        assert payload["trajectories_identical"] is False
+
     def test_json_reporter_is_machine_readable(self, tmp_path, utc):
         a, b = self.two_seeded(tmp_path)
         payload = json.loads(format_diff_json(diff_records(a, b)))
@@ -294,20 +305,18 @@ class TestPrune:
         old = make_record(tmp_path, 1700000000.0, losses=[1.0])
         mid = make_record(tmp_path, 1700003600.0, losses=[1.0])
         new = make_record(tmp_path, 1700007200.0, losses=[1.0])
-        # Prom + trace siblings for the oldest record.
+        # A trace sibling for the oldest record.
         stem = old.name[: -len(".json")]
-        prom = old.with_name(stem + ".prom")
         trace = old.with_name(stem + "-trace.json")
-        prom.write_text("")
         trace.write_text("{}")
         removed = prune_runs(tmp_path, keep=1)
         assert old not in list_runs(tmp_path)
         survivors = [s.path for s in list_runs(tmp_path)]
         assert survivors == [new]
-        assert not prom.exists() and not trace.exists()
+        assert not trace.exists()
         assert not old.with_name(stem + "-stream.jsonl").exists()
         assert mid not in survivors
-        assert len(removed) == 6  # 2 records + 2 streams + prom + trace
+        assert len(removed) == 5  # 2 records + 2 streams + trace
 
     def test_prune_zero_removes_everything(self, tmp_path, utc):
         make_record(tmp_path, 1700000000.0)

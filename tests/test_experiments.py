@@ -69,18 +69,43 @@ class TestRunner:
                                                    tiny_split, tmp_path,
                                                    monkeypatch):
         from repro import obs
+        from repro.obs.runrecord import STREAM_SUFFIX
         from repro.obs.telemetry import read_stream
 
         def interrupt(self, pair, split=None):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(type(make_method("jape-stru")), "fit", interrupt)
-        with obs.session(runs_dir=str(tmp_path), telemetry=True) as sess:
+        with obs.session(runs_dir=str(tmp_path)) as sess:
             with pytest.raises(KeyboardInterrupt):
                 run_experiment("jape-stru", tiny_pair, tiny_split)
-        (stream,) = tmp_path.glob("live-*-stream.jsonl")
+        (stream,) = tmp_path.iterdir()  # the run ended before its record
+        assert stream.name.endswith("-jape-stru-tiny" + STREAM_SUFFIX)
         assert sess.last_stream_path == stream
         assert read_stream(stream)[-1]["event"] == "stream_end"
+
+
+    def test_same_second_runs_claim_their_own_stems(self, tiny_pair,
+                                                    tiny_split, tmp_path,
+                                                    monkeypatch):
+        import time
+
+        from repro import obs
+        from repro.obs.runrecord import load_record
+
+        monkeypatch.setattr(time, "time", lambda: 1700000000.0)
+        with obs.session(runs_dir=str(tmp_path)):
+            first = run_experiment("jape-stru", tiny_pair, tiny_split)
+            second = run_experiment("jape-stru", tiny_pair, tiny_split)
+        stem = load_record(first.record_path).run_id
+        assert first.record_path == tmp_path / f"{stem}.json"
+        assert second.record_path == tmp_path / f"{stem}.1.json"
+        for result in (first, second):
+            stream = load_record(result.record_path).telemetry["stream"]
+            assert stream == result.record_path.stem + "-stream.jsonl"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+            f"{stem}.json", f"{stem}-stream.jsonl",
+            f"{stem}.1.json", f"{stem}.1-stream.jsonl"])
 
 
 class TestTables:

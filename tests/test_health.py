@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import statistics
 import time
 
@@ -280,71 +279,50 @@ class TestAlertFormatting:
 class TestOverheadGuard:
     """Telemetry + rule evaluation must stay within 5% of a bare fit.
 
-    Same discipline as the obs-session overhead guard: interleaved
-    order, medians (scheduler spikes are one-sided), bounded retries.
     The workload is a real TransE fit, so the guard measures the actual
-    per-epoch emit + rule-evaluation path, not a synthetic loop.
+    per-epoch emit + rule-evaluation path, not a synthetic loop.  Every
+    ``telemetry.emit`` call is timed where it runs, and the time spent
+    in them is compared with the rest of the same fit.  Both come from
+    one fit, so a scheduler spike on a shared host moves them together;
+    comparing the wall times of separate plain and streamed fits read
+    anywhere from -18% to +10% for a cost of about 0.5% on a 2-core
+    host.  Medians over seven fits absorb a spike inside one emit.
     """
 
-    def _measure(self, run_plain, run_telemetry) -> float:
-        plain, instrumented = [], []
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(7):
-                if i % 2:
-                    instrumented.append(self._timed(run_telemetry))
-                    plain.append(self._timed(run_plain))
-                else:
-                    plain.append(self._timed(run_plain))
-                    instrumented.append(self._timed(run_telemetry))
-        finally:
-            gc.enable()
-        return statistics.median(instrumented) / statistics.median(plain)
-
-    @staticmethod
-    def _timed(fn):
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
-
-    def test_health_rule_overhead_below_5pct(self, tiny_pair, tmp_path):
+    def test_health_rule_overhead_below_5pct(self, tiny_pair, tmp_path,
+                                              monkeypatch):
         from repro.baselines.transe import TransEAligner, TransEConfig
+        from repro.obs import telemetry
         from repro.obs.telemetry import TelemetryStream, use_stream
 
         split = tiny_pair.split(seed=3)
         config = TransEConfig(dim=32, epochs=40, seed=11)
+        engine = HealthEngine(parse_rules(DEFAULT_RULES),
+                              registry=Registry())
+        stream = TelemetryStream(tmp_path / "overhead-stream.jsonl",
+                                 engine=engine)
+        emit = telemetry.emit
+        spent: list = []
 
-        def run_plain():
-            TransEAligner(TransEConfig(**vars(config))).fit(
-                tiny_pair, split)
+        def timed_emit(event, **fields):
+            start = time.perf_counter()
+            emit(event, **fields)
+            spent.append(time.perf_counter() - start)
 
-        # One long-lived stream: the guard measures the steady-state
-        # per-epoch emit + rule-evaluation cost, not stream setup (that
-        # is a once-per-run constant, amortized over real training).
-        registry = Registry()
-        engine = HealthEngine(parse_rules(DEFAULT_RULES), registry=registry)
-        stream = TelemetryStream(
-            tmp_path / "overhead-stream.jsonl",
-            registry=registry, snapshot_seconds=3600.0, engine=engine,
-        )
-
-        def run_telemetry():
-            with use_stream(stream):
+        monkeypatch.setattr(telemetry, "emit", timed_emit)
+        overheads = []
+        with use_stream(stream):
+            for _ in range(8):  # the first fit warms caches
+                spent.clear()
+                start = time.perf_counter()
                 TransEAligner(TransEConfig(**vars(config))).fit(
                     tiny_pair, split)
-
-        run_plain()  # warm caches / allocator
-        run_telemetry()  # first emit pays the one-off snapshot
-        try:
-            ratios = []
-            for _ in range(3):
-                ratios.append(self._measure(run_plain, run_telemetry))
-                if ratios[-1] <= 1.05:
-                    return
-        finally:
-            stream.close()
-        raise AssertionError(
-            f"telemetry + health overhead exceeded 5% in 3 rounds: "
-            f"{[f'{r - 1:.1%}' for r in ratios]}"
-        )
+                total = time.perf_counter() - start
+                overheads.append(sum(spent) / (total - sum(spent)))
+        stream.close()
+        assert len(spent) == config.epochs  # each epoch took the timed path
+        assert engine.rules and stream.events_written > 8 * config.epochs
+        overhead = statistics.median(overheads[1:])
+        assert overhead <= 0.05, (
+            f"telemetry + health overhead {overhead:.1%} exceeds 5%: "
+            f"{[f'{r:.1%}' for r in overheads[1:]]}")

@@ -22,7 +22,10 @@ from repro.obs.metrics import (
     use_registry,
 )
 from repro.obs.runrecord import (
+    STREAM_SUFFIX,
+    TRACE_SUFFIX,
     RunRecord,
+    claim_stem,
     format_record,
     latest_record,
     list_records,
@@ -295,6 +298,21 @@ class TestRunRecord:
         second = write_record(record, tmp_path)
         assert first != second
         assert len(list_records(tmp_path)) == 2
+
+    def test_same_second_records_list_in_write_order(self, tmp_path):
+        record = self._record()
+        paths = [write_record(record, tmp_path) for _ in range(3)]
+        assert [p.name for p in paths] == [
+            f"{record.run_id}.json", f"{record.run_id}.1.json",
+            f"{record.run_id}.2.json"]
+        assert list_records(tmp_path) == paths
+
+    def test_claim_skips_stems_holding_any_run_file(self, tmp_path):
+        first = claim_stem(tmp_path, "sdea", "tiny", 1700000000.0)
+        assert (tmp_path / (first + STREAM_SUFFIX)).exists()
+        (tmp_path / (first + ".1" + TRACE_SUFFIX)).write_text("{}")
+        assert claim_stem(tmp_path, "sdea", "tiny",
+                          1700000000.0) == first + ".2"
 
     def test_latest_record(self, tmp_path):
         assert latest_record(tmp_path) is None

@@ -60,8 +60,8 @@ class TestHealthGate:
             assert stream.exists()
             assert telemetry["events"] > 0
             assert telemetry["health"]["alerts_fail"] == 0
-            # The stream was renamed to sit next to its record.
-            assert stream.name.startswith(path.name[:-len(".json")])
+            # The stream shares the record's stem.
+            assert stream.name == path.stem + "-stream.jsonl"
 
     def test_nan_injection_trips_the_gate(self, tmp_path, monkeypatch):
         """A poisoned fit must exit nonzero with a provenance-bearing
@@ -120,7 +120,7 @@ class TestObsCommands:
         for _ in range(2):
             code, _, err = run_cli(
                 ["run", "--dataset", DATASET, "--method", METHOD,
-                 "--telemetry", "--runs-dir", str(runs_dir)])
+                 "--runs-dir", str(runs_dir)])
             assert code == 0, err
         return runs_dir
 
@@ -129,6 +129,21 @@ class TestObsCommands:
         assert code == 0
         rows = [l for l in out.splitlines() if METHOD in l]
         assert len(rows) == 2
+
+    def test_each_run_leaves_a_record_and_a_stream(self, runs_dir):
+        records = sorted(p.name[:-len(".json")]
+                         for p in runs_dir.glob("*.json"))
+        assert len(records) == 2
+        expected = {stem + suffix for stem in records
+                    for suffix in (".json", "-stream.jsonl")}
+        assert {p.name for p in runs_dir.iterdir()} == expected
+
+    def test_diff_shows_the_loss_trajectory(self, runs_dir):
+        code, out, _ = run_cli(["obs", "diff", "--runs-dir", str(runs_dir)])
+        assert code == 0
+        (row,) = [l.split() for l in out.splitlines()
+                  if l.startswith("loss[transe]")]
+        assert row[2] == "0"  # max|a-b|
 
     def test_diff_of_seeded_reruns_is_bitwise_zero(self, runs_dir):
         code, out, _ = run_cli(["obs", "diff", "--runs-dir", str(runs_dir)])

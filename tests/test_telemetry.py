@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import threading
 
-import pytest
-
 from repro.obs import metrics as metrics_mod
 from repro.obs import telemetry
 from repro.obs.metrics import Registry, use_registry
@@ -18,7 +16,6 @@ from repro.obs.telemetry import (
     format_status_line,
     iter_stream,
     latest_stream,
-    prometheus_exposition,
     read_stream,
     stream_status,
     use_stream,
@@ -28,7 +25,7 @@ from repro.obs.telemetry import (
 class TestStreamWriteRead:
     def test_events_roundtrip_with_envelope(self, tmp_path):
         path = tmp_path / "run-stream.jsonl"
-        stream = TelemetryStream(path, registry=None)
+        stream = TelemetryStream(path)
         stream.emit("epoch", phase="attr", epoch=0, loss=1.5)
         stream.emit("validation", phase="attr", epoch=0, hits1=0.4)
         stream.close()
@@ -43,8 +40,8 @@ class TestStreamWriteRead:
 
     def test_each_event_is_flushed_immediately(self, tmp_path):
         """The stream must be tail-able while the run is still alive."""
-        path = tmp_path / "live-stream.jsonl"
-        stream = TelemetryStream(path, registry=None)
+        path = tmp_path / "flush-stream.jsonl"
+        stream = TelemetryStream(path)
         stream.emit("epoch", epoch=0)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
@@ -53,9 +50,9 @@ class TestStreamWriteRead:
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
         path = tmp_path / "torn-stream.jsonl"
-        stream = TelemetryStream(path, registry=None)
+        stream = TelemetryStream(path)
         stream.emit("epoch", epoch=0)
-        stream.close(final_snapshot=False)
+        stream.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"event": "epo')  # a partially written line
         events = read_stream(path)
@@ -76,120 +73,11 @@ class TestStreamWriteRead:
 
     def test_close_is_idempotent_and_emit_after_close_drops(self, tmp_path):
         path = tmp_path / "closed-stream.jsonl"
-        stream = TelemetryStream(path, registry=None)
+        stream = TelemetryStream(path)
         stream.close()
         stream.close()
         stream.emit("epoch", epoch=1)
         assert [e["event"] for e in read_stream(path)] == ["stream_end"]
-
-
-class TestSnapshotter:
-    def test_snapshot_per_event_when_period_zero(self, tmp_path):
-        registry = Registry()
-        registry.counter("trainer.epochs").inc()
-        stream = TelemetryStream(tmp_path / "s-stream.jsonl",
-                                 registry=registry, snapshot_seconds=0.0)
-        stream.emit("epoch", epoch=0)
-        stream.close(final_snapshot=False)
-        events = read_stream(stream.path)
-        kinds = [e["event"] for e in events]
-        assert "metrics_snapshot" in kinds
-        snap = next(e for e in events if e["event"] == "metrics_snapshot")
-        assert "trainer.epochs" in snap["metrics"]
-
-    def test_snapshot_respects_period(self, tmp_path):
-        registry = Registry()
-        stream = TelemetryStream(tmp_path / "p-stream.jsonl",
-                                 registry=registry, snapshot_seconds=3600.0)
-        for epoch in range(5):
-            stream.emit("epoch", epoch=epoch)
-        stream.close(final_snapshot=False)
-        kinds = [e["event"] for e in read_stream(stream.path)]
-        # One snapshot on the first emit (period measured from -inf),
-        # then none for the next hour.
-        assert kinds.count("metrics_snapshot") == 1
-
-    def test_snapshot_write_is_self_timed(self, tmp_path):
-        registry = Registry()
-        stream = TelemetryStream(tmp_path / "t-stream.jsonl",
-                                 registry=registry, snapshot_seconds=None)
-        stream.snapshot()
-        stream.close(final_snapshot=False)
-        assert registry.histogram(
-            "telemetry.snapshot_write_seconds").count() == 1
-
-    def test_prom_file_refreshed_at_snapshot(self, tmp_path):
-        registry = Registry()
-        registry.counter("eval.rankings").inc()
-        registry.gauge("trainer.loss").set(0.25, phase="attr")
-        stream = TelemetryStream(tmp_path / "x-stream.jsonl",
-                                 registry=registry, snapshot_seconds=None)
-        stream.snapshot()
-        stream.close(final_snapshot=False)
-        prom = tmp_path / "x.prom"
-        assert stream.prom_file == prom
-        text = prom.read_text()
-        assert "eval_rankings_total 1" in text
-        assert 'trainer_loss{phase="attr"} 0.25' in text
-
-
-class TestPrometheusExposition:
-    def test_counter_gauge_histogram_shapes(self):
-        registry = Registry()
-        registry.counter("optim.steps").inc(optimizer="adam")
-        registry.gauge("eval.hits_at_1").set(0.5)
-        hist = registry.histogram("trainer.epoch_seconds")
-        hist.observe(0.01, phase="attr")
-        hist.observe(0.02, phase="attr")
-        text = prometheus_exposition(registry)
-        assert "# TYPE optim_steps_total counter" in text
-        assert 'optim_steps_total{optimizer="adam"} 1' in text
-        assert "# TYPE eval_hits_at_1 gauge" in text
-        assert "eval_hits_at_1 0.5" in text
-        assert "# TYPE trainer_epoch_seconds histogram" in text
-        assert 'trainer_epoch_seconds_bucket{le="+Inf",phase="attr"} 2' \
-            in text
-        assert 'trainer_epoch_seconds_count{phase="attr"} 2' in text
-        assert 'trainer_epoch_seconds_sum{phase="attr"}' in text
-
-    def test_bucket_counts_are_cumulative(self):
-        registry = Registry()
-        hist = registry.histogram("h")
-        for value in (0.001, 0.1, 10.0):
-            hist.observe(value)
-        lines = [l for l in prometheus_exposition(registry).splitlines()
-                 if l.startswith("h_bucket")]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
-        assert counts == sorted(counts)
-        assert counts[-1] == 3  # le="+Inf" sees everything
-
-    def test_label_values_are_escaped(self):
-        registry = Registry()
-        registry.counter("c").inc(name='we"ird\\label')
-        text = prometheus_exposition(registry)
-        assert 'name="we\\"ird\\\\label"' in text
-
-
-class TestRename:
-    def test_rename_moves_stream_and_prom(self, tmp_path):
-        registry = Registry()
-        stream = TelemetryStream(tmp_path / ("live" + STREAM_SUFFIX),
-                                 registry=registry, snapshot_seconds=None)
-        stream.emit("epoch", epoch=0)
-        stream.snapshot()
-        stream.close(final_snapshot=False)
-        target = tmp_path / ("final" + STREAM_SUFFIX)
-        assert stream.rename(target) == target
-        assert target.exists()
-        assert (tmp_path / "final.prom").exists()
-        assert not (tmp_path / ("live" + STREAM_SUFFIX)).exists()
-        assert not (tmp_path / "live.prom").exists()
-
-    def test_rename_requires_closed_stream(self, tmp_path):
-        stream = TelemetryStream(tmp_path / "a-stream.jsonl", registry=None)
-        with pytest.raises(RuntimeError):
-            stream.rename(tmp_path / "b-stream.jsonl")
-        stream.close()
 
 
 class TestGlobalSlot:
@@ -199,7 +87,7 @@ class TestGlobalSlot:
         telemetry.emit("epoch", epoch=0)  # must not raise
 
     def test_use_stream_installs_and_restores(self, tmp_path):
-        stream = TelemetryStream(tmp_path / "g-stream.jsonl", registry=None)
+        stream = TelemetryStream(tmp_path / "g-stream.jsonl")
         with use_stream(stream):
             assert telemetry.is_active()
             telemetry.emit("epoch", epoch=1)
@@ -246,7 +134,7 @@ class TestGlobalSlot:
 class TestTailing:
     def test_iter_stream_follows_appends_until_stream_end(self, tmp_path):
         path = tmp_path / "tail-stream.jsonl"
-        stream = TelemetryStream(path, registry=None)
+        stream = TelemetryStream(path)
         stream.emit("epoch", epoch=0)
 
         def finish():
@@ -264,7 +152,7 @@ class TestTailing:
 
     def test_iter_stream_times_out_without_stream_end(self, tmp_path):
         path = tmp_path / "stuck-stream.jsonl"
-        stream = TelemetryStream(path, registry=None)
+        stream = TelemetryStream(path)
         stream.emit("epoch", epoch=0)
         events = list(iter_stream(path, poll_seconds=0.05, timeout=0.2))
         stream.close()
